@@ -2,8 +2,9 @@
 
 Four subcommands: homology, collapse, morse, sequence. All output is
 deterministic; the --json flags emit machine-readable equivalents of
-the text reports. Exit codes: 0 on success, 2 for malformed input,
-3 when an operation's theorem hypothesis fails.
+the text reports. Exit codes: 0 on success, 1 when a result fails the
+package's own consistency check (a bug), 2 for malformed input, 3 when
+an operation's theorem hypothesis fails.
 
 The environment variable WMORSE_MAX_DIM caps the dimension of every
 homology report (useful to keep long-chain inputs tractable).
@@ -15,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .collapse import collapse_sequence, greedy_collapse
@@ -29,7 +29,7 @@ from .documents import (
     parse_weights_spec,
     read_fasta,
 )
-from .errors import HypothesisError, ValidationError
+from .errors import HypothesisError, InternalInvariantError, ValidationError
 from .homology import HomologyGroup, group_at, homology
 from .morse import classify, critical_window, morse_collapse
 from .sequence import ALPHABETS, build_woc, sequence_fingerprint
@@ -291,13 +291,6 @@ def _parse_cell(text: str) -> list[int]:
 
 # --- sequence ----------------------------------------------------------------
 
-def _fingerprint_record(seq: str, alphabet, weights, woc_type, cap):
-    unknown = sorted(set(seq) - set(alphabet))
-    if unknown:
-        raise DocumentError(f"symbols {unknown} not in the alphabet")
-    return sequence_fingerprint(seq, weights, woc_type, max_dim=cap)
-
-
 def cmd_sequence(args) -> int:
     alphabet = ALPHABETS.get(args.alphabet, tuple(args.alphabet))
     weights = parse_weights_spec(args.weights)
@@ -311,22 +304,13 @@ def cmd_sequence(args) -> int:
     if args.emit_complex and len(records) > 1:
         raise DocumentError("--emit-complex needs a single-sequence input")
 
-    if len(records) > 1:
-        with ThreadPoolExecutor(max_workers=min(4, len(records))) as pool:
-            results = list(
-                pool.map(
-                    lambda r: _fingerprint_record(r[1], alphabet, weights, args.woc_type, cap),
-                    records,
-                )
-            )
-    else:
-        results = [
-            _fingerprint_record(records[0][1], alphabet, weights, args.woc_type, cap)
-        ]
-
     lines: list[str] = []
     payload_records = []
-    for (ident, seq), groups in zip(records, results):
+    for ident, seq in records:
+        unknown = sorted(set(seq) - set(alphabet))
+        if unknown:
+            raise DocumentError(f"symbols {unknown} not in the alphabet")
+        groups = sequence_fingerprint(seq, weights, args.woc_type, max_dim=cap)
         block = _homology_lines(groups) if groups else ["(empty complex)"]
         if ident is not None:
             if lines:
@@ -443,6 +427,9 @@ def main(argv=None) -> int:
     except HypothesisError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    except InternalInvariantError as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -24,15 +24,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .complexes import Simplex, WeightedComplex, faces
+from .complexes import Simplex, WeightedComplex
 from .errors import NotFreeFace, NotMaximal, ZeroWeight
-from .homology import (
-    ClassOrder,
-    HomologyGroup,
-    boundary_matrices,
-    chain_bases,
-    homology_class_order,
-)
+from .homology import ClassOrder, HomologyGroup, boundary_matrices
 from .snf import IntMatrix, smith_normal_form
 
 
@@ -158,30 +152,6 @@ class RemovalReport:
     quotient_below: HomologyGroup | None
 
 
-def _weighted_boundary_chain(K: WeightedComplex, sigma: Simplex, basis) -> tuple[int, ...]:
-    index = {s: i for i, s in enumerate(basis)}
-    out = [0] * len(basis)
-    ws = K.weight(sigma)
-    for i, face in enumerate(faces(sigma)):
-        out[index[face]] += (-1) ** i * (ws // K.weight(face))
-    return tuple(out)
-
-
-def _quotient_with_extra_column(L: WeightedComplex, n: int, column) -> HomologyGroup:
-    # kernel of d_{n-1} modulo the image of d_n extended by one column
-    bd = boundary_matrices(L)
-    below = bd.matrix(n - 1)
-    dn = bd.matrix(n)
-    rows = dn.to_rows()
-    for i, row in enumerate(rows):
-        row.append(column[i])
-    extended = IntMatrix.from_rows(rows, cols=dn.cols + 1)
-    cycles = len(bd.basis(n - 1)) - smith_normal_form(below).rank
-    dec = smith_normal_form(extended)
-    torsion = tuple(d for d in dec.factors if d > 1)
-    return HomologyGroup(cycles - dec.rank, torsion)
-
-
 def elementary_removal(K: WeightedComplex, sigma) -> tuple[WeightedComplex, RemovalReport]:
     """Remove one maximal simplex of nonzero weight and report the effect."""
     sigma = tuple(sigma)
@@ -207,15 +177,25 @@ def elementary_removal(K: WeightedComplex, sigma) -> tuple[WeightedComplex, Remo
         )
         return L, report
 
-    basis_below = chain_bases(L)[n - 1]
-    chain = _weighted_boundary_chain(K, sigma, basis_below)
-    order = homology_class_order(L, n - 1, chain)
+    # L shares K's bases below n and its d_n is K's without sigma's
+    # column, so [d_n(L) | chain] is K's d_n up to column order
+    bd = boundary_matrices(K)
+    dK = bd.matrix(n)
+    j = bd.basis(n).index(sigma)
+    chain = dK.column(j)
+    bd.cycle(n - 1, chain)
+    dL = IntMatrix(dK.rows, dK.cols - 1, dK.columns[:j] + dK.columns[j + 1:])
+    extended = smith_normal_form(dK)
+    order = ClassOrder.of(smith_normal_form(dL), extended)
+    cycles = len(bd.basis(n - 1)) - smith_normal_form(bd.matrix(n - 1)).rank
     report = RemovalReport(
         sigma=sigma,
         dimension=n,
         boundary_chain=chain,
         class_order=order,
         gains_free_summand=order.is_torsion,
-        quotient_below=_quotient_with_extra_column(L, n, chain),
+        quotient_below=HomologyGroup(
+            cycles - extended.rank, tuple(d for d in extended.factors if d > 1)
+        ),
     )
     return L, report

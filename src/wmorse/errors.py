@@ -5,7 +5,8 @@ itself is malformed (bad document, broken divisibility, invalid Morse
 values), while ``HypothesisError`` means the data is fine but the
 requested operation's precondition does not hold (no free face, cell not
 critical, and so on). The command line maps the first family to exit
-code 2 and the second to exit code 3.
+code 2 and the second to exit code 3. ``InternalInvariantError`` is a
+bug in the package itself and exits 1.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ class ValidationError(WmorseError):
 
 class HypothesisError(WmorseError):
     """Structurally valid input that fails an operation's precondition."""
+
+
+class InternalInvariantError(WmorseError):
+    """A result broke an identity the package reports; checked even under -O."""
 
 
 # --- complex validation -------------------------------------------------

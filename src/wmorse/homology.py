@@ -6,20 +6,22 @@ each codimension-1 face by the weight ratio w(sigma) / w(face); the
 divisibility rule makes every ratio an integer, and a zero-weight face
 forces a zero-weight coface, so the ratio never needs a zero divisor.
 
-Homology is read off Smith normal forms: in dimension n the free rank
-is nullity(d_n) - rank(d_{n+1}) and the torsion coefficients are the
-invariant factors of d_{n+1} that exceed 1. Dimension 0 is not reduced;
-the boundary below dimension 0 is the zero map.
+Boundaries are built once per complex as sparse columns and reduced by
+the sparse Smith engine of ``snf`` (invariant factors, no transforms).
+In dimension n the free rank is nullity(d_n) - rank(d_{n+1}) and the
+torsion coefficients are the invariant factors of d_{n+1} that exceed
+1; the boundary below dimension 0 is the zero map. A class order comes
+from the factors of d_{n+1} with and without the cycle as a column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import prod
 from typing import Sequence
 
 from .complexes import Simplex, WeightedComplex, faces
-from .errors import NotACycle
+from .errors import InternalInvariantError, NotACycle
 from .snf import IntMatrix, SmithDecomposition, smith_normal_form
 
 
@@ -85,6 +87,18 @@ class WeightedBoundary:
         cols = len(self.basis(n))
         return IntMatrix.zeros(rows, cols)
 
+    def cycle(self, n: int, z: Sequence[int]) -> list[int]:
+        """z as an n-cycle over basis(n); raise if it is not one."""
+        z, size = list(z), len(self.basis(n))
+        if len(z) != size:
+            raise ValueError(f"chain has {len(z)} coordinates but dimension {n} has {size} basis simplices")
+        for x in z:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"chain coordinates must be integers, got {x!r}")
+        if n >= 1 and any(self.matrix(n).apply(z)):
+            raise NotACycle(n)
+        return z
+
 
 def chain_bases(K: WeightedComplex) -> tuple[tuple[Simplex, ...], ...]:
     """Nonzero-weight simplices per dimension, lexicographically sorted."""
@@ -107,14 +121,18 @@ def boundary_matrix(K: WeightedComplex, n: int, bases=None) -> IntMatrix:
     if n <= 0 or not cols:
         return IntMatrix.zeros(len(rows) if n > 0 else 0, len(cols))
     index = {s: i for i, s in enumerate(rows)}
-    entries = [0] * (len(rows) * len(cols))
-    for j, sigma in enumerate(cols):
+    columns = []
+    for sigma in cols:
         ws = K.weight(sigma)
+        column = {}
         for i, face in enumerate(faces(sigma)):
             wf = K.weight(face)
-            assert wf != 0 and ws % wf == 0, "divisibility guarantees integer ratios"
-            entries[index[face] * len(cols) + j] = (-1) ** i * (ws // wf)
-    return IntMatrix(len(rows), len(cols), entries)
+            if wf == 0 or ws % wf:
+                raise InternalInvariantError(f"w({list(face)})={wf} does not divide "
+                                             f"w({list(sigma)})={ws} in a validated complex")
+            column[index[face]] = -(ws // wf) if i % 2 else ws // wf
+        columns.append(column)
+    return IntMatrix(len(rows), len(cols), columns)
 
 
 def boundary_matrices(K: WeightedComplex) -> WeightedBoundary:
@@ -135,20 +153,15 @@ def homology(K: WeightedComplex, max_dim: int | None = None) -> list[HomologyGro
     if top < 0:
         return []
     bd = boundary_matrices(K)
+    reduced = [smith_normal_form(bd.matrix(n)) for n in range(top + 2)]
     groups = []
-    ranks: dict[int, SmithDecomposition] = {}
-
-    def snf_at(n: int) -> SmithDecomposition:
-        if n not in ranks:
-            ranks[n] = smith_normal_form(bd.matrix(n))
-        return ranks[n]
-
     for n in range(top + 1):
-        cycles = len(bd.basis(n)) - snf_at(n).rank
-        above = snf_at(n + 1)
+        cycles = len(bd.basis(n)) - reduced[n].rank
+        above = reduced[n + 1]
         free = cycles - above.rank
         torsion = tuple(d for d in above.factors if d > 1)
-        assert free >= 0
+        if free < 0:
+            raise InternalInvariantError(f"negative free rank {free} in dimension {n}")
         groups.append(HomologyGroup(free, torsion))
     return groups
 
@@ -184,6 +197,21 @@ class ClassOrder:
     def infinite(cls) -> "ClassOrder":
         return cls("infinite", None)
 
+    @classmethod
+    def of(cls, d: SmithDecomposition, extended: SmithDecomposition) -> "ClassOrder":
+        """Order of [z] in coker(d), from the factors of d and of [d | z].
+
+        Appending z keeps the rank or raises it by one. A raised rank
+        means no multiple of z lies in the lattice spanned by d: the
+        order is infinite. Otherwise both lattices share one saturation,
+        whose index over each is the product of its invariant factors,
+        so the cyclic group <[z]> has order prod(d) / prod([d | z]).
+        """
+        if extended.rank > d.rank:
+            return cls.infinite()
+        k = prod(d.factors) // prod(extended.factors)
+        return cls.zero() if k == 1 else cls.torsion(k)
+
     @property
     def is_torsion(self) -> bool:
         """True when some positive multiple of the class vanishes."""
@@ -199,30 +227,11 @@ def homology_class_order(K: WeightedComplex, n: int, z: Sequence[int]) -> ClassO
     """Order of the class [z] in the n-th weighted homology group.
 
     z is an integer vector over the lexicographic basis of nonzero-weight
-    n-simplices. The chain must be a cycle. The computation runs in the
-    Smith coordinates of the boundary one dimension up: with y = U z and
-    invariant factors d_1..d_r, the class dies under multiplication by
-    lcm(d_i / gcd(d_i, y_i)) provided the coordinates past r vanish, and
-    has infinite order otherwise.
+    n-simplices. The chain must be a cycle. The order comes from two
+    transform-free reductions: the boundary d_{n+1} and d_{n+1} with z
+    appended as a column.
     """
     bd = boundary_matrices(K)
-    basis = bd.basis(n)
-    z = list(z)
-    if len(z) != len(basis):
-        raise ValueError(f"chain has {len(z)} coordinates but dimension {n} has {len(basis)} basis simplices")
-    for x in z:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise ValueError(f"chain coordinates must be integers, got {x!r}")
-    if n >= 1 and any(v != 0 for v in bd.matrix(n).apply(z)):
-        raise NotACycle(n)
-
-    dec = smith_normal_form(bd.matrix(n + 1), want_transforms=True)
-    y = dec.U.apply(z)
-    k = 1
-    for i, d in enumerate(dec.factors):
-        k = lcm(k, d // gcd(d, y[i]))
-    if any(y[i] != 0 for i in range(dec.rank, len(y))):
-        return ClassOrder.infinite()
-    if k == 1:
-        return ClassOrder.zero()
-    return ClassOrder.torsion(k)
+    z = bd.cycle(n, z)
+    d = bd.matrix(n + 1)
+    return ClassOrder.of(smith_normal_form(d), smith_normal_form(d.with_column(z)))

@@ -40,6 +40,7 @@ from .complexes import Simplex, WeightedComplex, faces, simplex
 from .errors import (
     ExtraCritical,
     HypothesisFailed,
+    InternalInvariantError,
     MorseViolation,
     NoValidAPrime,
     NotCritical,
@@ -275,19 +276,24 @@ def morse_collapse(K: WeightedComplex, f: MorseFunction, a, b) -> MorseCollapse:
             if not down:
                 continue  # this cell is the lower half of its pair
             g = down[0]
-            assert g in gained, "pair partner must enter at the same value"
+            if g not in gained:
+                raise InternalInvariantError(f"pair partner {list(g)} of {list(t)} enters below {v}")
             pairs.append((g, t))
-        assert 2 * len(pairs) == len(gained), "window cells must split into free pairs"
+        if 2 * len(pairs) != len(gained):
+            raise InternalInvariantError(f"cells entering at {v} do not split into free pairs")
         pairs.sort(key=lambda p: (-len(p[1]), p[0]))
         for sigma, tau in pairs:
             next_complex, step = elementary_collapse(current, sigma)
-            assert step.tau == tau
+            if step.tau != tau:
+                raise InternalInvariantError(f"{list(sigma)} collapses into {list(step.tau)}, not {list(tau)}")
             verdict = check_preservation(current, step)
-            assert verdict.verdict == Verdict.SAME_WEIGHT
+            if verdict.verdict != Verdict.SAME_WEIGHT:
+                raise InternalInvariantError(f"collapse of {list(sigma)} is {verdict.verdict.value}")
             steps.append(step)
             verdicts.append(verdict)
             current = next_complex
-        assert current.simplices == target
+        if current.simplices != target:
+            raise InternalInvariantError(f"collapsing the cells at {v} does not reach K({lower})")
     return MorseCollapse(
         a=a, b=b, start=start, end=current,
         steps=tuple(steps), verdicts=tuple(verdicts),
@@ -345,8 +351,10 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
 
     top = level_subcomplex(K, f, fa)
     below = level_subcomplex(K, f, a_prime)
-    assert below.complex.simplices == top.complex.simplices - {alpha}
-    assert top.complex.is_maximal(alpha)
+    if below.complex.simplices != top.complex.simplices - {alpha}:
+        raise InternalInvariantError(f"K({a_prime}) is not K({fa}) minus {list(alpha)}")
+    if not top.complex.is_maximal(alpha):
+        raise InternalInvariantError(f"{list(alpha)} is not maximal in K({fa})")
 
     for s in sorted(K, key=lambda s: (len(s), s)):
         v = f(s)
@@ -362,7 +370,8 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
 
     if K.weight(alpha) != 0:
         removed, report = elementary_removal(top.complex, alpha)
-        assert removed.simplices == below.complex.simplices
+        if removed.simplices != below.complex.simplices:
+            raise InternalInvariantError(f"removing {list(alpha)} from K({fa}) does not give K({a_prime})")
     else:
         report = None
 

@@ -7,9 +7,13 @@ numbers and the report format.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wmorse
 from wmorse import __version__, validate_complex
 from wmorse.cli import main
 from wmorse.documents import dump_complex_document, load_complex_document
@@ -519,6 +523,50 @@ def test_morse_window_skips_removal_for_zero_weight(tmp_path, capsys):
         "collapse below: 0 steps, all same-weight\n"
         "removal: skipped (alpha has weight 0)\n"
     )
+
+
+# Each patch breaks one identity behind the certificate's "yes" lines;
+# the second item is the start of the message the check must give.
+BROKEN_WINDOW = {
+    "set-identity": (
+        "real = m.level_subcomplex\n"
+        "m.level_subcomplex = lambda K, f, c: real(K, f, 0 if c == Fraction(3, 2) else c)\n",
+        "K(3/2) is not K(2) minus",
+    ),
+    "maximality": (
+        "WeightedComplex.is_maximal = lambda self, sigma: False\n",
+        "[0, 1, 2] is not maximal in K(2)",
+    ),
+    "removal": (
+        "real = m.elementary_removal\n"
+        "m.elementary_removal = lambda K, sigma: (K, real(K, sigma)[1])\n",
+        "removing [0, 1, 2] from K(2) does not give K(3/2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_WINDOW))
+def test_morse_window_checks_survive_python_O(tmp_path, broken):
+    doc, mdoc = disk_docs(tmp_path)
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import wmorse.morse as m\n"
+        "from wmorse.complexes import WeightedComplex\n"
+        + BROKEN_WINDOW[broken][0]
+        + "from wmorse.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(wmorse.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script,
+         "morse", doc, mdoc, "--window", "3/2", "2", "--cell", "0,1,2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert f"InternalInvariantError: {BROKEN_WINDOW[broken][1]}" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_morse_window_requires_cell(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Weighted boundary matrices, homology groups, and class orders."""
 
 import random
-from math import gcd
+from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from conftest import (
     weighted_disk,
 )
 from wmorse import (
+    ClassOrder,
     HomologyGroup,
     NotACycle,
     SimplicialComplex,
@@ -268,6 +270,82 @@ class TestClassOrder:
                     assert got.kind == "infinite"
                 else:
                     assert got.kind == "torsion" and got.k == want
+
+
+def _integer_kernel(rows, cols):
+    """Integer vectors spanning the rational kernel, by Fraction elimination."""
+    M = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(cols):
+        r = next((i for i in range(len(pivots), len(M)) if M[i][c] != 0), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        M[top], M[r] = M[r], M[top]
+        M[top] = [x / M[top][c] for x in M[top]]
+        for i in range(len(M)):
+            if i != top and M[i][c] != 0:
+                M[i] = [a - M[i][c] * b for a, b in zip(M[i], M[top])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[free] = Fraction(1)
+        for row, c in enumerate(pivots):
+            v[c] = -M[row][free]
+        scale = lcm(*(x.denominator for x in v))
+        basis.append([int(x * scale) for x in v])
+    return basis
+
+
+def _cycle_orders_against_oracle(seed) -> set[str]:
+    """Class orders of random cycles of a small random complex, checked.
+
+    Cycles mix a random kernel element (often of infinite order), a
+    boundary (order zero) and a division by the common factor (often
+    torsion). Returns the kinds of order met.
+    """
+    rng = random.Random(seed)
+    K = random_weighted_complex(rng, max_vertices=4, max_facet_dim=2)
+    bd = boundary_matrices(K)
+    kinds = set()
+    for n in range(K.dimension + 1):
+        below, above = bd.matrix(n), bd.matrix(n + 1)
+        if not bd.basis(n):
+            continue
+        kernel = _integer_kernel(below.to_rows(), below.cols)
+        for _ in range(3):
+            z = list(above.apply([rng.randint(-2, 2) for _ in range(above.cols)]))
+            if kernel and rng.random() < 0.5:
+                k = rng.choice(kernel)
+                c = rng.choice([1, 2, 3])
+                z = [a + c * b for a, b in zip(z, k)]
+            g = gcd(*z)
+            if g > 1 and rng.random() < 0.5:
+                z = [v // g for v in z]
+            got = homology_class_order(K, n, z)
+            want = class_order_oracle(above.to_rows(), above.cols, z)
+            if want == 0:
+                assert got == ClassOrder.zero()
+            elif want is None:
+                assert got == ClassOrder.infinite()
+            else:
+                assert got == ClassOrder.torsion(want)
+            kinds.add(got.kind)
+    return kinds
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_class_orders_of_random_cycles_match_oracle(seed):
+    _cycle_orders_against_oracle(seed)
+
+
+def test_random_cycles_cover_every_kind_of_order():
+    kinds = set()
+    for seed in range(40):
+        kinds |= _cycle_orders_against_oracle(seed)
+    assert kinds == {"zero", "torsion", "infinite"}
 
 
 def test_homology_of_cone_is_trivial_above_zero():

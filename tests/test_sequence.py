@@ -1,6 +1,7 @@
 """Substring posets, order complexes, weightings, and fingerprints."""
 
 import itertools
+import time
 from math import gcd
 
 import pytest
@@ -219,6 +220,19 @@ class TestFingerprints:
         flat = {ch: c for ch in "ACGT"}
         ones = {ch: 1 for ch in "ACGT"}
         assert sequence_fingerprint(s, flat, 1) == sequence_fingerprint(s, ones, 1)
+
+    def test_product_weights_on_a_length_7_sequence_stay_fast(self):
+        # a dense reduction of this complex ran for minutes past a gigabyte
+        K, _ = build_woc("AGCGATG", DNA_WEIGHTS, 4)
+        t0 = time.perf_counter()
+        groups = sequence_fingerprint("AGCGATG", DNA_WEIGHTS, 4)
+        elapsed = time.perf_counter() - t0
+        chain_euler = sum((-1) ** n * len(K.of_dim(n)) for n in range(K.dimension + 1))
+        assert sum((-1) ** n * g.free_rank for n, g in enumerate(groups)) == chain_euler
+        for g in groups:
+            assert all(b % a == 0 for a, b in zip(g.torsion, g.torsion[1:]))
+        assert groups[0] == HomologyGroup(1, (6, 12))
+        assert elapsed < 1.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(["CTC", "xyyy", "abcb", "GATTA"]))
