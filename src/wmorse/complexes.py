@@ -98,9 +98,14 @@ class SimplicialComplex:
     face of every simplex is present, which is enough by induction.
     Iteration order is by dimension, then lexicographic, so anything
     derived from iteration is deterministic.
+
+    Coface queries (cofacets, proper_cofaces, is_maximal, free_coface,
+    maximal_simplices) go through a simplex -> cofacets index that the
+    first such query builds in O(N * dim); after that each query costs
+    O(degree), not a scan of the whole complex.
     """
 
-    __slots__ = ("_simplices", "_by_dim")
+    __slots__ = ("_simplices", "_by_dim", "_cofacets")
 
     def __init__(self, simplices: Iterable[Simplex]):
         members = frozenset(tuple(s) for s in simplices)
@@ -112,6 +117,7 @@ class SimplicialComplex:
             by_dim.setdefault(len(s) - 1, []).append(s)
         self._simplices = members
         self._by_dim = {d: tuple(sorted(group)) for d, group in by_dim.items()}
+        self._cofacets = None
 
     @classmethod
     def from_maximal(cls, generators: Iterable[Simplex]) -> "SimplicialComplex":
@@ -154,45 +160,48 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         return f"SimplicialComplex({len(self)} simplices, dim {self.dimension})"
 
-    def proper_cofaces(self, sigma: Simplex) -> list[Simplex]:
-        """Every simplex strictly containing sigma, in (dim, lex) order."""
-        sigma = tuple(sigma)
-        k = len(sigma)
-        sset = set(sigma)
-        out = []
-        for d in sorted(self._by_dim):
-            if d + 1 <= k:
-                continue
-            for t in self._by_dim[d]:
-                if sset.issubset(t):
-                    out.append(t)
-        return out
+    def _cofacet_index(self) -> dict[Simplex, tuple[Simplex, ...]]:
+        # built on the first coface query: complexes that are only reduced
+        # (sequence fingerprints) never pay for it
+        index = self._cofacets
+        if index is None:
+            up: dict[Simplex, list[Simplex]] = {s: [] for s in self._simplices}
+            for t in self:  # (dim, lex) order, so each list comes out sorted
+                for f in faces(t):
+                    up[f].append(t)
+            index = self._cofacets = {s: tuple(ts) for s, ts in up.items()}
+        return index
 
     def cofacets(self, sigma: Simplex) -> list[Simplex]:
-        """Cofaces of sigma of exactly one dimension higher."""
-        sigma = tuple(sigma)
-        sset = set(sigma)
-        return [t for t in self.of_dim(len(sigma)) if sset.issubset(t)]
+        """Cofaces of sigma of exactly one dimension higher, in lex order."""
+        return list(self._cofacet_index().get(tuple(sigma), ()))
+
+    def proper_cofaces(self, sigma: Simplex) -> list[Simplex]:
+        """Every simplex strictly containing sigma, in (dim, lex) order."""
+        index = self._cofacet_index()
+        out: list[Simplex] = []
+        level = index.get(tuple(sigma), ())
+        while level:
+            out.extend(level)
+            level = sorted({t for s in level for t in index[s]})
+        return out
 
     def is_maximal(self, sigma: Simplex) -> bool:
-        return not self.proper_cofaces(sigma)
+        return not self._cofacet_index().get(tuple(sigma))
 
     def maximal_simplices(self) -> list[Simplex]:
-        return [s for s in self if self.is_maximal(s)]
+        index = self._cofacet_index()
+        return [s for s in self if not index[s]]
 
     def free_coface(self, sigma: Simplex) -> Simplex | None:
         """The unique proper coface of sigma, if there is exactly one.
 
-        When it exists, that coface tau automatically has dimension
-        dim(sigma) + 1 and is maximal: any larger coface of sigma, and
-        any proper coface of tau, would be a second coface of sigma.
+        That is the case exactly when sigma has a single cofacet tau: a
+        coface tau + {v} of tau would contain the second cofacet
+        sigma + {v} of sigma. So tau is one dimension up and maximal.
         """
-        cofaces = self.proper_cofaces(sigma)
-        if len(cofaces) != 1:
-            return None
-        tau = cofaces[0]
-        assert len(tau) == len(sigma) + 1 and self.is_maximal(tau)
-        return tau
+        up = self._cofacet_index().get(tuple(sigma), ())
+        return up[0] if len(up) == 1 else None
 
     def without(self, removed: Iterable[Simplex]) -> "SimplicialComplex":
         gone = {tuple(s) for s in removed}

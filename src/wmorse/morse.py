@@ -22,6 +22,7 @@ cell, remove that cell, and collapse again below.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -32,9 +33,9 @@ from .collapse import (
     PreservationVerdict,
     Verdict,
     check_preservation,
-    elementary_collapse,
     elementary_removal,
     RemovalReport,
+    _Collapser,
 )
 from .complexes import Simplex, WeightedComplex, faces, simplex
 from .errors import (
@@ -248,7 +249,11 @@ def morse_collapse(K: WeightedComplex, f: MorseFunction, a, b) -> MorseCollapse:
     a, b = to_fraction(a), to_fraction(b)
     if not a < b:
         raise ValueError(f"need a < b, got {a} and {b}")
-    cls = classify(K, f)
+    return _morse_collapse(K, f, a, b, classify(K, f))
+
+
+def _morse_collapse(K: WeightedComplex, f: MorseFunction, a: Fraction, b: Fraction,
+                    cls: CellClassification) -> MorseCollapse:
     window = _window_cells(K, f, a, b)
     for s in sorted(window, key=lambda s: (len(s), s)):
         if cls.is_critical(s):
@@ -258,14 +263,22 @@ def morse_collapse(K: WeightedComplex, f: MorseFunction, a, b) -> MorseCollapse:
 
     values = sorted({f(s) for s in window})
     start = level_subcomplex(K, f, b).complex
-    current = start
+    # a cell lies in K(c) exactly when its entry value, the least value
+    # on it and its cofaces, is at most c; so rank[s] < i says that s is
+    # in K(values[i - 1]), or in K(a) when i = 0
+    entry: dict[Simplex, Fraction] = {}
+    for s in reversed(list(start)):
+        entry[s] = min([f(s)] + [entry[t] for t in start.complex.cofacets(s)])
+    rank = {s: -1 if e <= a else bisect.bisect_left(values, e) for s, e in entry.items()}
+    state = _Collapser(start)
+    current = state.simplices
     steps: list[CollapseStep] = []
     verdicts: list[PreservationVerdict] = []
     for i in range(len(values) - 1, -1, -1):
         v = values[i]
         lower = values[i - 1] if i > 0 else a
-        target = level_subcomplex(K, f, lower).complex.simplices
-        gained = current.simplices - target
+        target = {s for s, r in rank.items() if r < i}
+        gained = current - target
         if not gained:
             continue
         pairs = []
@@ -283,19 +296,18 @@ def morse_collapse(K: WeightedComplex, f: MorseFunction, a, b) -> MorseCollapse:
             raise InternalInvariantError(f"cells entering at {v} do not split into free pairs")
         pairs.sort(key=lambda p: (-len(p[1]), p[0]))
         for sigma, tau in pairs:
-            next_complex, step = elementary_collapse(current, sigma)
+            step = state.collapse(sigma)
             if step.tau != tau:
                 raise InternalInvariantError(f"{list(sigma)} collapses into {list(step.tau)}, not {list(tau)}")
-            verdict = check_preservation(current, step)
+            verdict = check_preservation(start, step)
             if verdict.verdict != Verdict.SAME_WEIGHT:
                 raise InternalInvariantError(f"collapse of {list(sigma)} is {verdict.verdict.value}")
             steps.append(step)
             verdicts.append(verdict)
-            current = next_complex
-        if current.simplices != target:
+        if current != target:
             raise InternalInvariantError(f"collapsing the cells at {v} does not reach K({lower})")
     return MorseCollapse(
-        a=a, b=b, start=start, end=current,
+        a=a, b=b, start=start, end=start.restrict(current),
         steps=tuple(steps), verdicts=tuple(verdicts),
     )
 
@@ -361,10 +373,10 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
         if (a < v <= a_prime or fa < v <= b) and not cls.is_w_simple(s):
             raise WSimpleFailed(s)
 
-    collapse_above = morse_collapse(K, f, fa, b) if fa < b else MorseCollapse(
+    collapse_above = _morse_collapse(K, f, fa, b, cls) if fa < b else MorseCollapse(
         a=fa, b=b, start=top.complex, end=top.complex, steps=(), verdicts=(),
     )
-    collapse_below = morse_collapse(K, f, a, a_prime) if a < a_prime else MorseCollapse(
+    collapse_below = _morse_collapse(K, f, a, a_prime, cls) if a < a_prime else MorseCollapse(
         a=a, b=a_prime, start=below.complex, end=below.complex, steps=(), verdicts=(),
     )
 

@@ -128,6 +128,54 @@ def matrix_rows(A: IntMatrix) -> list[list[int]]:
     return A.to_rows()
 
 
+# --- coface and collapse oracles ---------------------------------------------
+
+def reference_proper_cofaces(members) -> dict:
+    """Every simplex -> its proper cofaces, by subset enumeration.
+
+    Goes through no coface index: each simplex lists itself under every
+    proper nonempty subset of its vertices.
+    """
+    up = {s: [] for s in members}
+    for t in members:
+        for k in range(1, len(t)):
+            for s in itertools.combinations(t, k):
+                up[s].append(t)
+    return up
+
+
+def reference_verdict(w_sigma: int, w_tau: int) -> str:
+    """The collapse verdict of a pair, from its two weights."""
+    if w_sigma == w_tau != 0:
+        return "same-weight"
+    if w_tau == -w_sigma and w_sigma != 0:
+        return "associate"
+    if w_sigma == 0 and w_tau == 0:
+        return "zero-pair"
+    return "not-guaranteed"
+
+
+def reference_greedy_collapse(K):
+    """The rescanning greedy rule, O(N) rescans of the whole complex.
+
+    At every step all proper cofaces are recounted, and the smallest
+    simplex (tuple order) with exactly one proper coface is collapsed
+    with it. Returns the remaining simplices and the (sigma, tau,
+    verdict) steps.
+    """
+    members = set(K)
+    steps = []
+    while True:
+        up = reference_proper_cofaces(members)
+        free = sorted(s for s, ts in up.items() if len(ts) == 1)
+        if not free:
+            return members, steps
+        sigma = free[0]
+        (tau,) = up[sigma]
+        members -= {sigma, tau}
+        steps.append((sigma, tau, reference_verdict(K.weight(sigma), K.weight(tau))))
+
+
 # --- complex builders --------------------------------------------------------
 
 def constant_complex(maximal, weight=1) -> WeightedComplex:

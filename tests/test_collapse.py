@@ -1,6 +1,7 @@
 """Elementary collapses, preservation verdicts, and removals."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from conftest import (
     full_simplex,
     groups_equal_padded,
     hollow_triangle_w2,
+    reference_greedy_collapse,
     sphere,
 )
 from wmorse import (
@@ -19,6 +21,7 @@ from wmorse import (
     NotMaximal,
     Verdict,
     ZeroWeight,
+    build_woc,
     check_preservation,
     collapse_sequence,
     elementary_collapse,
@@ -137,6 +140,88 @@ def test_guaranteed_collapses_preserve_homology(seed, zero_chance):
         v = check_preservation(K, step)
         if v.guaranteed or v.verdict == Verdict.ZERO_PAIR:
             assert groups_equal_padded(before, homology(L)), (sigma, v)
+
+
+ACGT = {"A": 1, "C": 2, "G": 3, "T": 4}
+
+
+def assert_greedy_matches_reference(K):
+    final, applied = greedy_collapse(K)
+    members, want = reference_greedy_collapse(K)
+    got = [(step.sigma, step.tau, v.verdict.value) for step, v in applied]
+    assert got == want
+    assert set(final) == members
+    assert all(final.weight(s) == K.weight(s) for s in final)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.floats(min_value=0.05, max_value=0.6))
+def test_greedy_collapse_matches_rescanning_reference(seed, zero_chance):
+    rng = random.Random(seed)
+    K = random_weighted_complex(rng, zero_star_chance=zero_chance)
+    assert_greedy_matches_reference(K)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: full_simplex(7),
+    lambda: build_woc("ACGTAC", ACGT, 1)[0],
+    lambda: build_woc("ACGTAC", ACGT, 2)[0],
+], ids=["delta7", "ACGTAC-type1", "ACGTAC-type2"])
+def test_greedy_collapse_matches_rescanning_reference_on_large_inputs(make):
+    assert_greedy_matches_reference(make())
+
+
+def random_step_list(K, rng):
+    """Mostly free faces of the complex reached so far, some arbitrary simplices."""
+    current, sigmas = K, []
+    for _ in range(rng.randint(0, len(K))):
+        free = [s for s in current if current.free_coface(s) is not None]
+        if free and rng.random() < 0.9:
+            sigma = rng.choice(free)
+            current, _ = elementary_collapse(current, sigma)
+        else:
+            sigma = rng.choice(sorted(K))
+        sigmas.append(sigma)
+    return sigmas
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.floats(min_value=0, max_value=0.5))
+def test_collapse_sequence_matches_step_by_step_replay(seed, zero_chance):
+    rng = random.Random(seed)
+    K = random_weighted_complex(rng, zero_star_chance=zero_chance)
+    sigmas = random_step_list(K, rng)
+    current, steps, failed_at = K, [], None
+    for i, sigma in enumerate(sigmas):
+        try:
+            current, step = elementary_collapse(current, sigma)
+        except NotFreeFace:
+            failed_at = i
+            break
+        steps.append(step)
+    if failed_at is not None:
+        with pytest.raises(NotFreeFace) as info:
+            collapse_sequence(K, sigmas)
+        assert info.value.step_index == failed_at
+        assert info.value.simplex == tuple(sigmas[failed_at])
+        return
+    final, applied = collapse_sequence(K, sigmas)
+    assert [step for step, _ in applied] == steps
+    assert [v for _, v in applied] == [check_preservation(K, step) for step in steps]
+    assert final == current
+
+
+@pytest.mark.parametrize("make", [
+    lambda: full_simplex(8),
+    lambda: build_woc("ACGTACG", ACGT, 3)[0],
+], ids=["delta8", "ACGTACG-type3"])
+def test_greedy_collapse_scales(make):
+    K = make()
+    t0 = time.perf_counter()
+    final, applied = greedy_collapse(K)
+    assert time.perf_counter() - t0 < 1.0
+    assert len(final) == len(K) - 2 * len(applied)
+    assert all(final.free_coface(s) is None for s in final)
 
 
 class TestElementaryRemoval:

@@ -17,6 +17,8 @@ from wmorse.generators import random_weighted_complex
 
 import random
 
+from conftest import reference_proper_cofaces
+
 
 class TestSimplexBasics:
     def test_canonical_order(self):
@@ -195,3 +197,18 @@ def test_free_coface_properties(seed):
         assert set(s) < set(t)
         # removing the pair leaves a legal complex
         K.without([s, t])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_coface_queries_match_subset_enumeration(seed):
+    rng = random.Random(seed)
+    K = random_weighted_complex(rng, max_vertices=9, max_facets=7, max_facet_dim=4).complex
+    up = reference_proper_cofaces(K.simplices)
+    for s in K:
+        want = sorted(up[s], key=lambda t: (len(t), t))
+        assert K.proper_cofaces(s) == want
+        assert K.cofacets(s) == [t for t in want if len(t) == len(s) + 1]
+        assert K.is_maximal(s) == (not want)
+        assert K.free_coface(s) == (want[0] if len(want) == 1 else None)
+    assert K.maximal_simplices() == [s for s in K if not up[s]]

@@ -253,7 +253,9 @@ class TestClassOrder:
         bd = boundary_matrices(K)
         for n in range(K.dimension):
             B = bd.matrix(n + 1)
-            if B.cols == 0 or B.rows == 0:
+            # the minor oracle is exponential in the smaller side: at 6 a
+            # draw takes seconds, at 9 close to a minute
+            if not 0 < min(B.rows, B.cols) <= 5:
                 continue
             x = [rng.randint(-2, 2) for _ in range(B.cols)]
             z = list(B.apply(x))

@@ -25,6 +25,7 @@ from wmorse import (
     WSimpleFailed,
     classify,
     critical_window,
+    elementary_collapse,
     group_at,
     homology,
     in_level,
@@ -244,6 +245,16 @@ class TestMorseCollapse:
             assert result.end.complex.simplices == {(0,)}
             assert result.all_same_weight
             assert 2 * len(result.steps) == len(K) - 1
+
+    def test_steps_replay_as_elementary_collapses(self):
+        K, names, f, cell = xyyy_setup()
+        L, _, g = xn_setup(6)
+        for result in (morse_collapse(K, f, 2, 5), morse_collapse(L, g, 1, g.distinct_values()[-1])):
+            current = result.start
+            for step in result.steps:
+                current, replayed = elementary_collapse(current, step.sigma)
+                assert replayed == step
+            assert current == result.end
 
     def test_deterministic(self):
         K, names, f, cell = xyyy_setup()
