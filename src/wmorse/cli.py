@@ -118,6 +118,9 @@ def cmd_collapse(args) -> int:
             raise DocumentError(f"{args.steps}: {e.msg}", line=e.lineno)
         if not isinstance(raw, list):
             raise DocumentError(f"{args.steps}: expected a JSON array of vertex lists")
+        for i, entry in enumerate(raw):
+            if not isinstance(entry, list):
+                raise DocumentError(f"{args.steps}: entry {i} is not a list of vertex ids")
         sigmas = [simplex(entry) for entry in raw]
         L, applied = collapse_sequence(K, sigmas)
 

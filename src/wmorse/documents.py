@@ -7,13 +7,14 @@ and an optional "vertex_names" table keyed by stringified vertex ids.
 A Morse document is a JSON object with a "values" array of
 {"vertices": [...], "value": v} records covering every simplex of the
 complex it accompanies. Values may be integers, "p/q" strings, or
-decimal strings; bare JSON decimals are also fine because the literal
-text is handed to Fraction before any float is built.
+decimal strings; bare JSON decimals are also fine because their literal
+text is kept and parsed like a string, so no float is ever built.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Mapping
 
@@ -23,7 +24,7 @@ from .morse import MorseFunction, validate_morse
 
 
 def _load_json(path: str, exact_decimals: bool = False):
-    kwargs = {"parse_float": Fraction} if exact_decimals else {}
+    kwargs = {"parse_float": str} if exact_decimals else {}
     try:
         with open(path) as fh:
             return json.load(fh, **kwargs)
@@ -130,16 +131,12 @@ def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
         if "value" not in r:
             raise DocumentError(f"{where}: missing 'value'")
         v = r["value"]
-        if not isinstance(v, (int, str, Fraction)) or isinstance(v, bool):
+        if not isinstance(v, (int, str)) or isinstance(v, bool):
             raise DocumentError(f"{where}: 'value' must be an integer or a string")
-        try:
-            value = Fraction(v)
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError(f"{where}: cannot parse {v!r} as a rational")
         s = simplex(vs)
         if s in table:
             raise DocumentError(f"{where}: simplex {list(s)} listed twice")
-        table[s] = value
+        table[s] = Fraction(v) if isinstance(v, int) else parse_rational(v, where)
     uncovered = [s for s in K if s not in table]
     if uncovered:
         shown = ", ".join(str(list(s)) for s in uncovered[:5])
@@ -147,12 +144,27 @@ def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
     return validate_morse(K, table)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Exact rational from command line text ("3", "1.5", "7/2")."""
+# Fraction builds 10**exponent exactly, so a value like 1e10000000 costs
+# seconds per comparison, and one with more digits than the interpreter
+# converts to text (4300 by default) could not be printed anyway.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+
+
+def parse_rational(text: str, where: str = "") -> Fraction:
+    """Exact rational from text ("3", "1.5", "7/2", "2.5e-3").
+
+    Command line values and Morse document values both come through
+    here; where, if given, names the entry in error messages.
+    """
+    prefix = f"{where}: " if where else ""
+    exponent = _EXPONENT.search(text)
     try:
+        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+            raise DocumentError(f"{prefix}{text!r} has a decimal exponent larger than {MAX_EXPONENT} in magnitude")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"cannot parse {text!r} as a rational")
+        raise DocumentError(f"{prefix}cannot parse {text!r} as a rational")
 
 
 def parse_weights_spec(spec: str) -> dict[str, int]:

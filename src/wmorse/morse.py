@@ -18,6 +18,15 @@ has equal weights and weighted homology survives untouched. A window
 that contains exactly one critical cell is handled by the certificate
 in critical_window: collapse from above onto the level of the critical
 cell, remove that cell, and collapse again below.
+
+All of this comes from one scan of a complex, top-down in (dimension,
+lex) order, that asks each simplex for its cofacets once. From every
+cell's wrong neighbours the scan derives the Morse violations, the
+critical cells, the pairing and the w-simple cells. It also gives each
+cell its entry value, the least value on the cell and its cofaces, and
+the one level rule is K(c) = {s : entry(s) <= c}. validate_morse keeps
+the scan of the complex it checked with the function it returns, so
+classify, level_subcomplex and the collapses on that complex reuse it.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping
+from typing import Mapping, NamedTuple
 
 from .collapse import (
     CollapseStep,
@@ -65,16 +74,18 @@ def to_fraction(value) -> Fraction:
 class MorseFunction:
     """A validated discrete Morse function on a fixed complex.
 
-    Use validate_morse to construct one. Instances map simplices to
-    Fractions and may carry values for more simplices than the complex
-    they were validated on; restriction to a subcomplex stays valid
-    because neighbour counts only shrink.
+    Use validate_morse to construct one: it converts the values to
+    Fractions and keeps the scan of the complex it checked them on.
+    Instances map simplices to Fractions and may carry values for more
+    simplices than that complex; restriction to a subcomplex stays
+    valid because neighbour counts only shrink.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_scan")
 
     def __init__(self, values: Mapping[Simplex, Fraction]):
-        self._values = {tuple(s): to_fraction(v) for s, v in values.items()}
+        self._values = dict(values)
+        self._scan: _Scan | None = None
 
     def __call__(self, sigma) -> Fraction:
         return self._values[tuple(sigma)]
@@ -90,41 +101,6 @@ class MorseFunction:
 
     def __repr__(self) -> str:
         return f"MorseFunction({len(self._values)} values)"
-
-
-def _wrong_cofaces(K: WeightedComplex, f, sigma) -> list[Simplex]:
-    fs = f(sigma)
-    return [t for t in K.complex.cofacets(sigma) if f(t) <= fs]
-
-
-def _wrong_faces(K: WeightedComplex, f, sigma) -> list[Simplex]:
-    fs = f(sigma)
-    return [g for g in faces(sigma) if f(g) >= fs]
-
-
-def validate_morse(K: WeightedComplex, values: Mapping) -> MorseFunction:
-    """Check the two discrete Morse conditions on every simplex of K.
-
-    values must cover all of K (extra entries are allowed and kept).
-    All violations are collected before raising, so the error lists
-    every offending cell with its witnesses.
-    """
-    table = {simplex(s): to_fraction(v) for s, v in values.items()}
-    missing = [s for s in K if s not in table]
-    if missing:
-        raise ValueError(f"no Morse value for {[list(s) for s in missing]}")
-    f = lambda s: table[tuple(s)]
-    violations = []
-    for s in K:
-        up = _wrong_cofaces(K, f, s)
-        if len(up) > 1:
-            violations.append((s, 1, tuple(up)))
-        down = _wrong_faces(K, f, s)
-        if len(down) > 1:
-            violations.append((s, 2, tuple(down)))
-    if violations:
-        raise MorseViolation(violations)
-    return MorseFunction(table)
 
 
 @dataclass(frozen=True)
@@ -148,66 +124,81 @@ class CellClassification:
         return tuple(sigma) in self.w_simple
 
 
+class _Scan(NamedTuple):
+    complex: WeightedComplex
+    violations: list
+    classification: CellClassification
+    entry: dict[Simplex, Fraction]
+
+
+def _scan_of(K: WeightedComplex, f: MorseFunction) -> _Scan:
+    """The one pass over K; the pass validate_morse made is reused."""
+    if f._scan is not None and f._scan.complex is K:
+        return f._scan
+    value = f._values
+    violations = []
+    critical, w_simple, pair, entry = set(), set(), {}, {}
+    clash = None
+    for s in reversed(list(K)):  # cofacets before their faces
+        fs = value[s]
+        cofacets = K.complex.cofacets(s)
+        entry[s] = min([fs] + [entry[t] for t in cofacets])
+        up = [t for t in cofacets if value[t] <= fs]
+        down = [g for g in faces(s) if value[g] >= fs]
+        if len(up) > 1:
+            violations.append((s, 1, tuple(up)))
+        if len(down) > 1:
+            violations.append((s, 2, tuple(down)))
+        if up and down:
+            clash = s
+        if up or down:
+            pair[s] = (up or down)[0]
+        else:
+            critical.add(s)
+        w = K.weight(s)
+        if w != 0 and all(K.weight(g) == w for g in down):
+            w_simple.add(s)
+    # a cell with wrong neighbours both ways forces a violation at its
+    # wrong face or its wrong coface, so f is not Morse on K
+    assert clash is None or violations, f"{list(clash)} has wrong neighbours both ways"
+    violations.sort(key=lambda v: (len(v[0]), v[0], v[1]))
+    cls = CellClassification(critical=frozenset(critical), w_simple=frozenset(w_simple), pair=pair)
+    return _Scan(K, violations, cls, entry)
+
+
+def validate_morse(K: WeightedComplex, values: Mapping) -> MorseFunction:
+    """Check the two discrete Morse conditions on every simplex of K.
+
+    values must cover all of K (extra entries are allowed and kept).
+    All violations are collected before raising, so the error lists
+    every offending cell with its witnesses.
+    """
+    table = {simplex(s): to_fraction(v) for s, v in values.items()}
+    missing = [s for s in K if s not in table]
+    if missing:
+        raise ValueError(f"no Morse value for {[list(s) for s in missing]}")
+    f = MorseFunction(table)
+    scan = _scan_of(K, f)
+    if scan.violations:
+        raise MorseViolation(scan.violations)
+    f._scan = scan
+    return f
+
+
 def classify(K: WeightedComplex, f: MorseFunction) -> CellClassification:
     """Split the cells of K by the Morse function's local structure.
 
-    Also checks, cell by cell, that no simplex has wrong neighbours in
-    both directions at once; for a valid Morse function that situation
-    is impossible, so hitting it means f was not validated on K.
+    On the complex f was validated on this is the validation's own
+    scan; any other complex, such as a collapsed level, is scanned anew.
     """
-    critical = set()
-    pair = {}
-    w_simple = set()
-    for s in K:
-        up = _wrong_cofaces(K, f, s)
-        down = _wrong_faces(K, f, s)
-        assert not (up and down), f"{list(s)} has wrong neighbours both ways"
-        if not up and not down:
-            critical.add(s)
-        else:
-            pair[s] = up[0] if up else down[0]
-        if K.weight(s) != 0 and all(K.weight(g) == K.weight(s) for g in down):
-            w_simple.add(s)
-    return CellClassification(
-        critical=frozenset(critical),
-        w_simple=frozenset(w_simple),
-        pair=pair,
-    )
+    return _scan_of(K, f).classification
 
 
-@dataclass(frozen=True)
-class LevelSubcomplex:
-    """K(c): simplices with value at most c, closed under faces."""
-
-    threshold: Fraction
-    complex: WeightedComplex
-
-
-def in_level(K: WeightedComplex, f: MorseFunction, c, sigma) -> bool:
-    """Membership test for K(c) without building the whole level.
-
-    A simplex belongs to K(c) when its own value is at most c or some
-    proper coface's value is at most c.
-    """
+def level_subcomplex(K: WeightedComplex, f: MorseFunction, c) -> WeightedComplex:
+    """K(c): the simplices of K whose entry value is at most c."""
     c = to_fraction(c)
-    sigma = tuple(sigma)
-    if f(sigma) <= c:
-        return True
-    return any(f(t) <= c for t in K.complex.proper_cofaces(sigma))
-
-
-def level_subcomplex(K: WeightedComplex, f: MorseFunction, c) -> LevelSubcomplex:
-    c = to_fraction(c)
-    seeds = [s for s in K if f(s) <= c]
-    members = set(seeds)
-    stack = list(seeds)
-    while stack:
-        s = stack.pop()
-        for g in faces(s):
-            if g not in members:
-                members.add(g)
-                stack.append(g)
-    return LevelSubcomplex(threshold=c, complex=K.restrict(members))
+    entry = _scan_of(K, f).entry
+    return K.restrict(s for s in K if entry[s] <= c)
 
 
 @dataclass(frozen=True)
@@ -231,10 +222,6 @@ class MorseCollapse:
         return all(v.verdict == Verdict.SAME_WEIGHT for v in self.verdicts)
 
 
-def _window_cells(K: WeightedComplex, f: MorseFunction, a: Fraction, b: Fraction):
-    return [s for s in K if a < f(s) <= b]
-
-
 def morse_collapse(K: WeightedComplex, f: MorseFunction, a, b) -> MorseCollapse:
     """Collapse K(b) onto K(a) across a window with no critical values.
 
@@ -249,27 +236,26 @@ def morse_collapse(K: WeightedComplex, f: MorseFunction, a, b) -> MorseCollapse:
     a, b = to_fraction(a), to_fraction(b)
     if not a < b:
         raise ValueError(f"need a < b, got {a} and {b}")
-    return _morse_collapse(K, f, a, b, classify(K, f))
+    cls = classify(K, f)
+    for s in K:
+        if a < f(s) <= b:
+            if cls.is_critical(s):
+                raise HypothesisFailed(s, "critical")
+            if not cls.is_w_simple(s):
+                raise HypothesisFailed(s, "not-w-simple")
+    return _morse_collapse(K, f, a, b, level_subcomplex(K, f, b), level_subcomplex(K, f, a))
 
 
 def _morse_collapse(K: WeightedComplex, f: MorseFunction, a: Fraction, b: Fraction,
-                    cls: CellClassification) -> MorseCollapse:
-    window = _window_cells(K, f, a, b)
-    for s in sorted(window, key=lambda s: (len(s), s)):
-        if cls.is_critical(s):
-            raise HypothesisFailed(s, "critical")
-        if not cls.is_w_simple(s):
-            raise HypothesisFailed(s, "not-w-simple")
-
-    values = sorted({f(s) for s in window})
-    start = level_subcomplex(K, f, b).complex
-    # a cell lies in K(c) exactly when its entry value, the least value
-    # on it and its cofaces, is at most c; so rank[s] < i says that s is
-    # in K(values[i - 1]), or in K(a) when i = 0
-    entry: dict[Simplex, Fraction] = {}
-    for s in reversed(list(start)):
-        entry[s] = min([f(s)] + [entry[t] for t in start.complex.cofacets(s)])
-    rank = {s: -1 if e <= a else bisect.bisect_left(values, e) for s, e in entry.items()}
+                    start: WeightedComplex, end: WeightedComplex) -> MorseCollapse:
+    # start is K(b) and end is K(a); the callers have checked that every
+    # cell with value in (a, b] is non-critical and w-simple
+    scan = _scan_of(K, f)
+    pair = scan.classification.pair
+    values = sorted({f(s) for s in K if a < f(s) <= b})
+    # rank[s] < i says that s is in K(values[i - 1]), or in K(a) when i = 0
+    entry = scan.entry
+    rank = {s: -1 if entry[s] <= a else bisect.bisect_left(values, entry[s]) for s in start}
     state = _Collapser(start)
     current = state.simplices
     steps: list[CollapseStep] = []
@@ -285,10 +271,9 @@ def _morse_collapse(K: WeightedComplex, f: MorseFunction, a: Fraction, b: Fracti
         for t in gained:
             if f(t) != v:
                 continue  # enters as the partner of a value-v coface
-            down = _wrong_faces(K, f, t)
-            if not down:
+            g = pair[t]
+            if len(g) > len(t):
                 continue  # this cell is the lower half of its pair
-            g = down[0]
             if g not in gained:
                 raise InternalInvariantError(f"pair partner {list(g)} of {list(t)} enters below {v}")
             pairs.append((g, t))
@@ -306,10 +291,7 @@ def _morse_collapse(K: WeightedComplex, f: MorseFunction, a: Fraction, b: Fracti
             verdicts.append(verdict)
         if current != target:
             raise InternalInvariantError(f"collapsing the cells at {v} does not reach K({lower})")
-    return MorseCollapse(
-        a=a, b=b, start=start, end=start.restrict(current),
-        steps=tuple(steps), verdicts=tuple(verdicts),
-    )
+    return MorseCollapse(a=a, b=b, start=start, end=end, steps=tuple(steps), verdicts=tuple(verdicts))
 
 
 @dataclass(frozen=True)
@@ -326,8 +308,8 @@ class CriticalWindow:
     a: Fraction
     b: Fraction
     a_prime: Fraction
-    top: LevelSubcomplex         # K(f(alpha))
-    below: LevelSubcomplex       # K(a_prime)
+    top: WeightedComplex            # K(f(alpha))
+    below: WeightedComplex          # K(a_prime)
     collapse_above: MorseCollapse   # K(b) onto K(f(alpha))
     collapse_below: MorseCollapse   # K(a_prime) onto K(a)
     removal: RemovalReport | None
@@ -351,38 +333,34 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
     fa = f(alpha)
     if not (a < fa <= b):
         raise ValueError(f"f(alpha)={fa} is outside ({a}, {b}]")
-    for s in sorted(_window_cells(K, f, a, b), key=lambda s: (len(s), s)):
-        if s != alpha and cls.is_critical(s):
+    for s in K:
+        if s != alpha and a < f(s) <= b and cls.is_critical(s):
             raise ExtraCritical(s)
 
-    lower_values = [f(s) for s in K if s != alpha and a <= f(s) < fa]
-    for s in sorted(K, key=lambda s: (len(s), s)):
+    for s in K:
         if s != alpha and f(s) == fa:
             raise NoValidAPrime(s, fa)
-    a_prime = max([a] + lower_values)
+    a_prime = max([a] + [f(s) for s in K if a <= f(s) < fa])
 
     top = level_subcomplex(K, f, fa)
     below = level_subcomplex(K, f, a_prime)
-    if below.complex.simplices != top.complex.simplices - {alpha}:
+    if below.simplices != top.simplices - {alpha}:
         raise InternalInvariantError(f"K({a_prime}) is not K({fa}) minus {list(alpha)}")
-    if not top.complex.is_maximal(alpha):
+    if not top.is_maximal(alpha):
         raise InternalInvariantError(f"{list(alpha)} is not maximal in K({fa})")
 
-    for s in sorted(K, key=lambda s: (len(s), s)):
+    for s in K:
         v = f(s)
         if (a < v <= a_prime or fa < v <= b) and not cls.is_w_simple(s):
             raise WSimpleFailed(s)
 
-    collapse_above = _morse_collapse(K, f, fa, b, cls) if fa < b else MorseCollapse(
-        a=fa, b=b, start=top.complex, end=top.complex, steps=(), verdicts=(),
-    )
-    collapse_below = _morse_collapse(K, f, a, a_prime, cls) if a < a_prime else MorseCollapse(
-        a=a, b=a_prime, start=below.complex, end=below.complex, steps=(), verdicts=(),
-    )
+    # a degenerate side (f(alpha) = b, or a = a_prime) starts where it ends
+    collapse_above = _morse_collapse(K, f, fa, b, level_subcomplex(K, f, b) if fa < b else top, top)
+    collapse_below = _morse_collapse(K, f, a, a_prime, below, level_subcomplex(K, f, a) if a < a_prime else below)
 
     if K.weight(alpha) != 0:
-        removed, report = elementary_removal(top.complex, alpha)
-        if removed.simplices != below.complex.simplices:
+        removed, report = elementary_removal(top, alpha)
+        if removed.simplices != below.simplices:
             raise InternalInvariantError(f"removing {list(alpha)} from K({fa}) does not give K({a_prime})")
     else:
         report = None

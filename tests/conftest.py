@@ -20,7 +20,7 @@ from wmorse import (
     validate_complex,
     validate_morse,
 )
-from wmorse.complexes import closure
+from wmorse.complexes import closure, faces
 from wmorse.snf import IntMatrix
 
 
@@ -176,6 +176,24 @@ def reference_greedy_collapse(K):
         steps.append((sigma, tau, reference_verdict(K.weight(sigma), K.weight(tau))))
 
 
+def reference_level(K, f, c) -> set:
+    """K(c) as the face closure of the cells with value at most c.
+
+    A depth-first search down from the seeds, with no entry values and
+    no coface index.
+    """
+    seeds = [s for s in K if f(s) <= c]
+    members = set(seeds)
+    stack = list(seeds)
+    while stack:
+        s = stack.pop()
+        for g in faces(s):
+            if g not in members:
+                members.add(g)
+                stack.append(g)
+    return members
+
+
 # --- complex builders --------------------------------------------------------
 
 def constant_complex(maximal, weight=1) -> WeightedComplex:
@@ -246,6 +264,23 @@ def xyyy_setup(a=6, b=10):
     }
     f = validate_morse(K, values)
     return K, names, f, cell
+
+
+def greedy_morse_values(K):
+    """A discrete Morse function read off the greedy collapse of K.
+
+    The r cells reference_greedy_collapse leaves get 0 .. r-1 in
+    (dim, lex) order; both cells of the pair it removes at step i of n
+    get r + (n - 1 - i), so pairs removed earlier sit higher. The left
+    cells are then exactly the critical ones and the removed pairs the
+    pairing. Returns (values, left cells, greedy steps).
+    """
+    core, steps = reference_greedy_collapse(K)
+    r, n = len(core), len(steps)
+    values = {s: i for i, s in enumerate(sorted(core, key=lambda s: (len(s), s)))}
+    for i, (sigma, tau, _) in enumerate(steps):
+        values[sigma] = values[tau] = r + (n - 1 - i)
+    return values, core, steps
 
 
 def xn_morse_values(n):

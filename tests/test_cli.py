@@ -10,13 +10,16 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
 import wmorse
 from wmorse import __version__, validate_complex
 from wmorse.cli import main
-from wmorse.documents import dump_complex_document, load_complex_document
+from wmorse.documents import dump_complex_document, load_complex_document, parse_rational
+from wmorse.errors import DocumentError
 
 from conftest import (
     filled_triangle,
@@ -247,6 +250,14 @@ def test_collapse_steps_must_be_an_array(triangle_doc, tmp_path, capsys):
     assert "expected a JSON array" in err
 
 
+@pytest.mark.parametrize("entry", [5, None, True], ids=["int", "null", "bool"])
+def test_collapse_steps_entries_must_be_lists(triangle_doc, tmp_path, capsys, entry):
+    steps = write_raw(tmp_path / "steps.json", [[1, 2], entry])
+    code, _, err = run_cli(capsys, "collapse", triangle_doc, "--steps", steps)
+    assert code == 2
+    assert err == f"error: DocumentError: {steps}: entry 1 is not a list of vertex ids\n"
+
+
 def test_collapse_missing_steps_file(triangle_doc, tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "collapse", triangle_doc, "--steps", str(tmp_path / "none.json")
@@ -420,6 +431,40 @@ def test_morse_collapse_rejects_bad_rational(xyyy_docs, capsys):
     code, _, err = run_cli(capsys, "morse", cdoc, mdoc, "--collapse", "x", "5")
     assert code == 2
     assert "cannot parse 'x'" in err
+
+
+@pytest.mark.parametrize("source", ["argument", "string", "bare-decimal"])
+def test_huge_decimal_exponents_are_refused_quickly(tmp_path, capsys, source):
+    doc = write_complex(tmp_path / "edge.json", validate_complex([([0], 1), ([1], 1), ([0, 1], 1)]))
+    value = {"argument": "1", "string": '"1e10000000"', "bare-decimal": "1e10000000"}[source]
+    mdoc = tmp_path / "f.json"
+    mdoc.write_text(
+        '{"values": [{"vertices": [0], "value": 0}, {"vertices": [1], "value": %s},'
+        ' {"vertices": [0, 1], "value": 1}]}' % value
+    )
+    mode = ["--collapse", "0", "1e10000000"] if source == "argument" else ["--classify"]
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "morse", doc, str(mdoc), *mode)
+    # building and comparing 10**10000000 took 8 to 19 s
+    assert time.perf_counter() - started < 5
+    assert code == 2
+    assert out == ""
+    where = "" if source == "argument" else f"{mdoc}: values[1]: "
+    assert err == (
+        f"error: DocumentError: {where}'1e10000000' has a decimal exponent"
+        " larger than 4300 in magnitude\n"
+    )
+
+
+def test_parse_rational_exponent_bound():
+    assert parse_rational("1e4300") == 10 ** 4300
+    assert parse_rational("25E-4300") == Fraction(25, 10 ** 4300)
+    assert parse_rational(" 7/2 ") == Fraction(7, 2)
+    for text in ("1e4301", "1.5e-4301", "1e+99999999999999999999"):
+        with pytest.raises(DocumentError, match="larger than 4300 in magnitude"):
+            parse_rational(text)
+    with pytest.raises(DocumentError, match="cannot parse"):
+        parse_rational("1e" + "9" * 5000)
 
 
 # --- morse: window certificate ---------------------------------------------------

@@ -1,6 +1,8 @@
 """Discrete Morse validation, level complexes, collapses, and windows."""
 
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     full_simplex,
+    greedy_morse_values,
     groups_equal_padded,
     hollow_triangle_w2,
+    reference_level,
     weighted_disk,
     xn_setup,
     xyyy_setup,
@@ -21,19 +25,21 @@ from wmorse import (
     MorseViolation,
     NoValidAPrime,
     NotCritical,
+    SimplicialComplex,
     Verdict,
+    WeightedComplex,
     WSimpleFailed,
     classify,
     critical_window,
     elementary_collapse,
     group_at,
     homology,
-    in_level,
     level_subcomplex,
     morse_collapse,
     validate_complex,
     validate_morse,
 )
+from wmorse.documents import load_morse_document
 from wmorse.generators import random_weighted_complex
 from wmorse.morse import MorseFunction, to_fraction
 
@@ -94,6 +100,26 @@ class TestValidateMorse:
         with pytest.raises(MorseViolation) as info:
             validate_morse(K, values)
         assert len(info.value.violations) == 2
+
+    def test_violations_listed_in_dim_lex_order(self):
+        # the edge (1, 2) has two low cofaces and two high faces at once;
+        # that is a violation, not a broken Morse lemma
+        K = validate_complex([
+            ([0], 1), ([1], 1), ([2], 1), ([3], 1),
+            ([0, 1], 1), ([0, 2], 1), ([1, 2], 1), ([1, 3], 1), ([2, 3], 1),
+            ([0, 1, 2], 1), ([1, 2, 3], 1),
+        ])
+        values = {s: 6 for s in K if len(s) == 2}
+        values.update({(0,): 0, (3,): 0, (1,): 5, (2,): 5, (1, 2): 3,
+                       (0, 1, 2): 1, (1, 2, 3): 1})
+        with pytest.raises(MorseViolation) as info:
+            validate_morse(K, values)
+        assert info.value.violations == [
+            ((1, 2), 1, ((0, 1, 2), (1, 2, 3))),
+            ((1, 2), 2, ((2,), (1,))),
+            ((0, 1, 2), 2, ((1, 2), (0, 2), (0, 1))),
+            ((1, 2, 3), 2, ((2, 3), (1, 3), (1, 2))),
+        ]
 
     def test_extra_values_are_kept(self):
         K = full_simplex(1)
@@ -166,13 +192,12 @@ class TestLevelSubcomplex:
     def test_substring_complex_levels(self):
         K, names, f, cell = xyyy_setup()
         low = level_subcomplex(K, f, 2)
-        assert low.threshold == 2
-        assert low.complex.complex.simplices == {
+        assert low.complex.simplices == {
             cell("x"), cell("xy"), cell("y"),
             cell("x", "xy"), cell("xy", "y"),
         }
-        assert level_subcomplex(K, f, 5).complex == K
-        assert len(level_subcomplex(K, f, 0).complex) == 0
+        assert level_subcomplex(K, f, 5) == K
+        assert len(level_subcomplex(K, f, 0)) == 0
 
     def test_closure_pulls_in_high_faces(self):
         # the edge has value 1 but its far vertex has value 2; any level
@@ -180,21 +205,14 @@ class TestLevelSubcomplex:
         K = validate_complex([([0], 1), ([1], 1), ([0, 1], 1)])
         f = validate_morse(K, {(0,): 0, (1,): 2, (0, 1): 1})
         level = level_subcomplex(K, f, 1)
-        assert level.complex.complex.simplices == {(0,), (1,), (0, 1)}
-        assert level_subcomplex(K, f, "1/2").complex.complex.simplices == {(0,)}
-
-    def test_in_level_matches_construction(self):
-        K, names, f, cell = xyyy_setup()
-        for c in (0, 1, 2, 3, 4, 5, Fraction(7, 2), "5/2"):
-            members = level_subcomplex(K, f, c).complex.complex.simplices
-            for s in K:
-                assert in_level(K, f, c, s) == (s in members), (c, s)
+        assert level.complex.simplices == {(0,), (1,), (0, 1)}
+        assert level_subcomplex(K, f, "1/2").complex.simplices == {(0,)}
 
     def test_levels_are_nested(self):
         K, names, f, cell = xyyy_setup()
         previous = set()
         for c in range(0, 6):
-            members = level_subcomplex(K, f, c).complex.complex.simplices
+            members = level_subcomplex(K, f, c).complex.simplices
             assert previous <= members
             previous = members
 
@@ -228,7 +246,7 @@ class TestMorseCollapse:
         result = morse_collapse(K, f, 4, 5)
         assert len(result.steps) == 3
         assert result.end.complex.simplices == level_subcomplex(
-            K, f, 4).complex.complex.simplices
+            K, f, 4).complex.simplices
 
     def test_empty_window(self):
         K, names, f, cell = xyyy_setup()
@@ -294,8 +312,8 @@ class TestCriticalWindow:
         f = validate_morse(K, {s: len(s) - 1 for s in K})
         window = critical_window(K, f, (0, 1, 2), "3/2", 2)
         assert window.a_prime == Fraction(3, 2)
-        assert window.top.complex == K
-        assert window.below.complex.complex.simplices == K.complex.simplices - {(0, 1, 2)}
+        assert window.top == K
+        assert window.below.complex.simplices == K.complex.simplices - {(0, 1, 2)}
         # degenerate window: both collapse certificates are empty
         assert window.collapse_above.steps == ()
         assert window.collapse_below.steps == ()
@@ -313,8 +331,8 @@ class TestCriticalWindow:
         assert report.quotient_below == HomologyGroup(0, (2,))
         assert report.quotient_below == group_at(homology(K), 1)
         # dimension 2 is unchanged because the boundary class is not torsion
-        assert group_at(homology(window.top.complex), 2) == group_at(
-            homology(window.below.complex), 2)
+        assert group_at(homology(window.top), 2) == group_at(
+            homology(window.below), 2)
 
     def test_edge_removal_with_zero_class(self):
         # hollow triangle, one critical edge isolated in a tight window
@@ -329,17 +347,17 @@ class TestCriticalWindow:
         assert window.removal.class_order.kind == "zero"
         assert window.removal.gains_free_summand
         assert window.removal.quotient_below == HomologyGroup(1, (2, 2))
-        assert group_at(homology(window.top.complex), 1) == HomologyGroup(1)
-        assert group_at(homology(window.below.complex), 1) == HomologyGroup(0)
+        assert group_at(homology(window.top), 1) == HomologyGroup(1)
+        assert group_at(homology(window.below), 1) == HomologyGroup(0)
 
     def test_full_sandwich_on_single_letter_run(self):
         K, names, f = xn_setup(5)
         top_value = f.distinct_values()[-1]
         window = critical_window(K, f, (0,), 0, top_value)
         assert window.a_prime == 0
-        assert window.top.complex.complex.simplices == {(0,)}
-        assert len(window.below.complex) == 0
-        assert window.collapse_above.end == window.top.complex
+        assert window.top.complex.simplices == {(0,)}
+        assert len(window.below) == 0
+        assert window.collapse_above.end == window.top
         assert window.collapse_above.all_same_weight
         assert window.collapse_below.steps == ()
         assert window.removal.dimension == 0
@@ -351,7 +369,7 @@ class TestCriticalWindow:
         f = validate_morse(K, {(0,): 0, (1,): 1, (0, 1): 2})
         window = critical_window(K, f, (0, 1), "3/2", 2)
         assert window.removal is None
-        assert window.below.complex.complex.simplices == {(0,), (1,)}
+        assert window.below.complex.simplices == {(0,), (1,)}
 
     def test_not_critical_rejected(self):
         K, names, f, cell = xyyy_setup()
@@ -398,6 +416,107 @@ class TestMorseFunctionObject:
     def test_restriction_reuse(self):
         # a function validated on K restricts to any subcomplex of K
         K, names, f, cell = xyyy_setup()
-        sub = level_subcomplex(K, f, 3).complex
+        sub = level_subcomplex(K, f, 3)
         g = validate_morse(sub, {s: f(s) for s in K})
         assert g(cell("x")) == 1
+
+
+class TestAgainstGreedyReference:
+    """A Morse function built from the rescanning greedy collapse.
+
+    Its critical cells, pairs, levels and collapse steps are all known
+    in advance (see greedy_morse_values), so every part of the Morse
+    layer is checked against the reference rather than against itself.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_morse_layer_matches_the_greedy_reference(self, seed):
+        rng = random.Random(seed)
+        shape = random_weighted_complex(rng, max_vertices=7, max_facets=5, max_facet_dim=3)
+        weight = rng.choice([1, 2, -3, 6])
+        K = WeightedComplex(shape.complex, {s: weight for s in shape})
+        values, core, steps = greedy_morse_values(K)
+        r, n = len(core), len(steps)
+        f = validate_morse(K, values)
+
+        cls = classify(K, f)
+        assert cls.critical == core
+        assert cls.pair == {**{s: t for s, t, _ in steps}, **{t: s for s, t, _ in steps}}
+        assert cls.w_simple == K.complex.simplices
+
+        levels = f.distinct_values()
+        midpoints = [(x + y) / 2 for x, y in zip(levels, levels[1:])]
+        for c in levels + midpoints:
+            assert level_subcomplex(K, f, c).complex.simplices == reference_level(K, f, c), c
+
+        above = ()
+        if n:
+            result = morse_collapse(K, f, r - 1, r + n - 1)
+            above = tuple((s, t) for s, t, _ in steps)
+            assert tuple((step.sigma, step.tau) for step in result.steps) == above
+            current = result.start
+            for step in result.steps:
+                current, replayed = elementary_collapse(current, step.sigma)
+                assert replayed == step
+            assert current == result.end
+            assert result.end.complex.simplices == core
+
+        alpha = max(core, key=lambda s: (len(s), s))
+        window = critical_window(K, f, alpha, r - 2, r + n - 1)
+        assert window.top.complex.simplices == core
+        assert window.below.complex.simplices == core - {alpha}
+        assert tuple((step.sigma, step.tau) for step in window.collapse_above.steps) == above
+        assert window.collapse_below.steps == ()
+
+
+def circle_with_tails():
+    """A hollow triangle with two pendant edges, and a Morse function.
+
+    (0,) and the edge (1, 2) are critical; three pairs sit below the
+    edge's value and one above it, so a window around the edge has a
+    collapse on both sides.
+    """
+    K = validate_complex([
+        ([0], 1), ([1], 1), ([2], 1), ([3], 1), ([4], 1),
+        ([0, 1], 1), ([0, 2], 1), ([1, 2], 1), ([2, 3], 1), ([0, 4], 1),
+    ])
+    f = validate_morse(K, {
+        (0,): 0, (1,): 1, (0, 1): 1, (2,): 2, (0, 2): 2, (4,): 3, (0, 4): 3,
+        (1, 2): 5, (3,): 7, (2, 3): 7,
+    })
+    return K, f
+
+
+class TestWorkDoneOnce:
+    def test_load_and_classify_ask_each_simplex_for_its_cofacets_once(self, tmp_path, monkeypatch):
+        K, names, f, cell = xyyy_setup()
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({
+            "values": [{"vertices": list(s), "value": str(v)} for s, v in f.items()]
+        }))
+        asked = []
+        real = SimplicialComplex.cofacets
+        monkeypatch.setattr(SimplicialComplex, "cofacets",
+                            lambda self, sigma: asked.append(sigma) or real(self, sigma))
+        classify(K, load_morse_document(str(path), K))
+        assert sorted(asked) == sorted(K)
+
+    def test_critical_window_builds_each_level_once(self, monkeypatch):
+        K, f = circle_with_tails()
+        levels = {c: frozenset(reference_level(K, f, c)) for c in (8, 5, 3, Fraction(1, 2))}
+        built = []
+        real = WeightedComplex.__init__
+
+        def init(self, complex, weight):
+            built.append(complex.simplices)
+            real(self, complex, weight)
+
+        monkeypatch.setattr(WeightedComplex, "__init__", init)
+        window = critical_window(K, f, (1, 2), "1/2", 8)
+        assert window.a_prime == 3
+        assert len(window.collapse_above.steps) == 1
+        assert len(window.collapse_below.steps) == 3
+        # K(b), K(f(alpha)), K(a') and K(a) once each; the second K(a')
+        # is the removal's own result, checked against the first
+        assert Counter(built) == Counter([levels[8], levels[5], levels[3], levels[3], levels[Fraction(1, 2)]])
