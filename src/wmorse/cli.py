@@ -25,13 +25,13 @@ from .documents import (
     dump_complex_document,
     load_complex_document,
     load_morse_document,
-    parse_rational,
+    load_steps_document,
     parse_weights_spec,
     read_fasta,
 )
 from .errors import HypothesisError, InternalInvariantError, ValidationError
 from .homology import HomologyGroup, group_at, homology
-from .morse import classify, critical_window, morse_collapse
+from .morse import classify, critical_window, morse_collapse, parse_rational
 from .sequence import ALPHABETS, build_woc, sequence_fingerprint
 
 
@@ -109,20 +109,7 @@ def cmd_collapse(args) -> int:
     if args.auto_greedy:
         L, applied = greedy_collapse(K)
     else:
-        try:
-            with open(args.steps) as fh:
-                raw = json.load(fh)
-        except OSError as e:
-            raise DocumentError(f"cannot read {args.steps}: {e.strerror or e}")
-        except json.JSONDecodeError as e:
-            raise DocumentError(f"{args.steps}: {e.msg}", line=e.lineno)
-        if not isinstance(raw, list):
-            raise DocumentError(f"{args.steps}: expected a JSON array of vertex lists")
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, list):
-                raise DocumentError(f"{args.steps}: entry {i} is not a list of vertex ids")
-        sigmas = [simplex(entry) for entry in raw]
-        L, applied = collapse_sequence(K, sigmas)
+        L, applied = collapse_sequence(K, load_steps_document(args.steps))
 
     lines = [_step_line(i + 1, s, v) for i, (s, v) in enumerate(applied)]
     guaranteed = all(v.guaranteed for _, v in applied)

@@ -108,10 +108,16 @@ class _Collapser:
     sets it edits; just those are re-examined and, if free, pushed.
     Entries that went stale stay in the heap until smallest_free meets
     them.
+
+    members, if given, is a subcomplex of K to start from; its cofacets
+    are read from K's own index, so it needs no index of its own.
     """
 
-    def __init__(self, K: WeightedComplex):
-        self._up = {s: set(K.complex.cofacets(s)) for s in K}
+    def __init__(self, K: WeightedComplex, members: frozenset[Simplex] | None = None):
+        if members is None:
+            self._up = {s: set(K.complex.cofacets(s)) for s in K}
+        else:
+            self._up = {s: {t for t in K.complex.cofacets(s) if t in members} for s in members}
         self._heap = [s for s, up in self._up.items() if len(up) == 1]
         heapq.heapify(self._heap)
 

@@ -87,10 +87,6 @@ def _divides(a: int, b: int) -> bool:
     return b % a == 0
 
 
-def _sort_key(sigma: Simplex):
-    return (len(sigma), sigma)
-
-
 class SimplicialComplex:
     """A finite face-closed set of simplices.
 

@@ -14,13 +14,12 @@ text is kept and parsed like a string, so no float is ever built.
 from __future__ import annotations
 
 import json
-import re
 from fractions import Fraction
 from typing import Mapping
 
-from .complexes import WeightedComplex, simplex, validate_complex
+from .complexes import Simplex, SimplicialComplex, WeightedComplex, simplex, validate_complex
 from .errors import DocumentError
-from .morse import MorseFunction, validate_morse
+from .morse import MorseFunction, parse_rational, validate_morse
 
 
 def _load_json(path: str, exact_decimals: bool = False):
@@ -75,15 +74,10 @@ def load_complex_document(
             raise DocumentError(f"{path}: 'vertex_names' keys must be integers")
 
     if constant_weight is not None:
-        generators = [
-            simplex(_vertex_list(r, f"{path}: simplices[{i}]"))
-            for i, r in enumerate(records)
-        ]
-        from .complexes import SimplicialComplex, closure
-
-        complex = SimplicialComplex(closure(generators))
-        K = WeightedComplex(complex, {s: constant_weight for s in complex.simplices})
-        return K, names
+        complex = SimplicialComplex.from_maximal(
+            _vertex_list(r, f"{path}: simplices[{i}]") for i, r in enumerate(records)
+        )
+        return WeightedComplex(complex, dict.fromkeys(complex.simplices, constant_weight)), names
 
     entries = []
     for i, r in enumerate(records):
@@ -116,6 +110,17 @@ def dump_complex_document(path: str, K: WeightedComplex, names=None) -> None:
         fh.write("\n")
 
 
+def load_steps_document(path: str) -> list[Simplex]:
+    """Read a steps file: a JSON array of free faces, in collapse order."""
+    raw = _load_json(path)
+    if not isinstance(raw, list):
+        raise DocumentError(f"{path}: expected a JSON array of vertex lists")
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, list):
+            raise DocumentError(f"{path}: entry {i} is not a list of vertex ids")
+    return [simplex(entry) for entry in raw]
+
+
 def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
     """Read and validate a Morse document against a complex."""
     doc = _load_json(path, exact_decimals=True)
@@ -142,29 +147,6 @@ def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
         shown = ", ".join(str(list(s)) for s in uncovered[:5])
         raise DocumentError(f"{path}: no Morse value for {shown}")
     return validate_morse(K, table)
-
-
-# Fraction builds 10**exponent exactly, so a value like 1e10000000 costs
-# seconds per comparison, and one with more digits than the interpreter
-# converts to text (4300 by default) could not be printed anyway.
-MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
-
-
-def parse_rational(text: str, where: str = "") -> Fraction:
-    """Exact rational from text ("3", "1.5", "7/2", "2.5e-3").
-
-    Command line values and Morse document values both come through
-    here; where, if given, names the entry in error messages.
-    """
-    prefix = f"{where}: " if where else ""
-    exponent = _EXPONENT.search(text)
-    try:
-        if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
-            raise DocumentError(f"{prefix}{text!r} has a decimal exponent larger than {MAX_EXPONENT} in magnitude")
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"{prefix}cannot parse {text!r} as a rational")
 
 
 def parse_weights_spec(spec: str) -> dict[str, int]:

@@ -7,8 +7,9 @@ most one face one dimension down with a value not below its own. No
 cell can have both kinds of wrong neighbour at once; a cell with
 neither is critical. Injectivity is not assumed anywhere.
 
-Values are exact rationals (fractions.Fraction); no binary floats enter
-any comparison.
+Values are exact rationals (fractions.Fraction), and text values are
+parsed once, by parse_rational, for library calls and the command line
+alike; no binary floats enter any comparison.
 
 The level complex K(c) collects every simplex that either has value at
 most c or sits under a coface with value at most c. Sliding c across a
@@ -27,11 +28,13 @@ cell its entry value, the least value on the cell and its cofaces, and
 the one level rule is K(c) = {s : entry(s) <= c}. validate_morse keeps
 the scan of the complex it checked with the function it returns, so
 classify, level_subcomplex and the collapses on that complex reuse it.
+A collapse walks the cells of K(b) outside K(a) grouped by entry value,
+from the top, on K's own cofacet index.
 """
 
 from __future__ import annotations
 
-import bisect
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -48,6 +51,7 @@ from .collapse import (
 )
 from .complexes import Simplex, WeightedComplex, faces, simplex
 from .errors import (
+    DocumentError,
     ExtraCritical,
     HypothesisFailed,
     InternalInvariantError,
@@ -56,6 +60,32 @@ from .errors import (
     NotCritical,
     WSimpleFailed,
 )
+
+
+# A longer numerator or denominator than the interpreter converts to
+# text (4300 digits by default) could not be printed; the exponent is
+# bounded first because Fraction builds 10**exponent exactly.
+MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+_UNPRINTABLE = 10 ** MAX_DIGITS
+
+
+def parse_rational(text: str, where: str = "") -> Fraction:
+    """Exact rational from text ("3", "1.5", "7/2", "2.5e-3").
+
+    where, if given, names the entry in error messages.
+    """
+    prefix = f"{where}: " if where else ""
+    exponent = _EXPONENT.search(text)
+    try:
+        if exponent and abs(int(exponent.group(1))) > MAX_DIGITS:
+            raise DocumentError(f"{prefix}{text!r} has a decimal exponent larger than {MAX_DIGITS} in magnitude")
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DocumentError(f"{prefix}cannot parse {text!r} as a rational")
+    if abs(q.numerator) >= _UNPRINTABLE or q.denominator >= _UNPRINTABLE:
+        raise DocumentError(f"{prefix}{text!r} has a numerator or denominator longer than {MAX_DIGITS} digits")
+    return q
 
 
 def to_fraction(value) -> Fraction:
@@ -67,7 +97,7 @@ def to_fraction(value) -> Fraction:
     if isinstance(value, (int, Rational)):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     raise ValueError(f"cannot interpret {value!r} as a rational")
 
 
@@ -226,10 +256,10 @@ def morse_collapse(K: WeightedComplex, f: MorseFunction, a, b) -> MorseCollapse:
     """Collapse K(b) onto K(a) across a window with no critical values.
 
     Requires every cell with value in (a, b] to be non-critical and
-    w-simple. Distinct values in the window are processed from the top;
-    the cells gained at one value split into free pairs (each paired
-    cell with its wrong neighbour), removed in order of decreasing pair
-    dimension and then lexicographically. Every removal is checked to be
+    w-simple. The cells of K(b) outside K(a) are grouped by entry value
+    and the groups processed from the top; each splits into free pairs
+    (each paired cell with its wrong neighbour), removed in order of
+    decreasing pair dimension and then lexicographically. Every removal is checked to be
     an elementary collapse of the current complex, and every verdict is
     checked to be same-weight.
     """
@@ -251,29 +281,25 @@ def _morse_collapse(K: WeightedComplex, f: MorseFunction, a: Fraction, b: Fracti
     # start is K(b) and end is K(a); the callers have checked that every
     # cell with value in (a, b] is non-critical and w-simple
     scan = _scan_of(K, f)
-    pair = scan.classification.pair
-    values = sorted({f(s) for s in K if a < f(s) <= b})
-    # rank[s] < i says that s is in K(values[i - 1]), or in K(a) when i = 0
-    entry = scan.entry
-    rank = {s: -1 if entry[s] <= a else bisect.bisect_left(values, entry[s]) for s in start}
-    state = _Collapser(start)
+    pair, entry = scan.classification.pair, scan.entry
+    # start's cells grouped by the level they enter at, walked from the top down to a
+    levels: dict[Fraction, set[Simplex]] = {}
+    for s in start:
+        levels.setdefault(entry[s], set()).add(s)
+    tops = sorted((v for v in levels if v > a), reverse=True)
+    state = _Collapser(K, start.simplices)
     current = state.simplices
+    remaining = len(start)
     steps: list[CollapseStep] = []
     verdicts: list[PreservationVerdict] = []
-    for i in range(len(values) - 1, -1, -1):
-        v = values[i]
-        lower = values[i - 1] if i > 0 else a
-        target = {s for s, r in rank.items() if r < i}
-        gained = current - target
-        if not gained:
-            continue
+    for v, lower in zip(tops, tops[1:] + [a]):
+        gained = levels[v]
+        remaining -= len(gained)
         pairs = []
         for t in gained:
-            if f(t) != v:
-                continue  # enters as the partner of a value-v coface
             g = pair[t]
             if len(g) > len(t):
-                continue  # this cell is the lower half of its pair
+                continue  # the lower half of its pair, as is every cell entering above its value
             if g not in gained:
                 raise InternalInvariantError(f"pair partner {list(g)} of {list(t)} enters below {v}")
             pairs.append((g, t))
@@ -289,7 +315,8 @@ def _morse_collapse(K: WeightedComplex, f: MorseFunction, a: Fraction, b: Fracti
                 raise InternalInvariantError(f"collapse of {list(sigma)} is {verdict.verdict.value}")
             steps.append(step)
             verdicts.append(verdict)
-        if current != target:
+        # with the levels above v already checked empty, this is live == K(lower)
+        if len(current) != remaining or not current.isdisjoint(gained):
             raise InternalInvariantError(f"collapsing the cells at {v} does not reach K({lower})")
     return MorseCollapse(a=a, b=b, start=start, end=end, steps=tuple(steps), verdicts=tuple(verdicts))
 
@@ -325,10 +352,8 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
     """
     a, b = to_fraction(a), to_fraction(b)
     alpha = tuple(alpha)
-    if alpha not in K:
-        raise NotCritical(alpha)
     cls = classify(K, f)
-    if not cls.is_critical(alpha):
+    if not cls.is_critical(alpha):  # also when alpha is not in K
         raise NotCritical(alpha)
     fa = f(alpha)
     if not (a < fa <= b):

@@ -266,7 +266,7 @@ def xyyy_setup(a=6, b=10):
     return K, names, f, cell
 
 
-def greedy_morse_values(K):
+def greedy_morse_values(K, split=False):
     """A discrete Morse function read off the greedy collapse of K.
 
     The r cells reference_greedy_collapse leaves get 0 .. r-1 in
@@ -274,12 +274,19 @@ def greedy_morse_values(K):
     get r + (n - 1 - i), so pairs removed earlier sit higher. The left
     cells are then exactly the critical ones and the removed pairs the
     pairing. Returns (values, left cells, greedy steps).
+
+    With split set, the face sigma of each pair gets its coface's value
+    plus 1/2 instead. That stays Morse: every other cofacet of sigma was
+    removed earlier, so it sits at least 1 higher, and every face of
+    sigma was removed later or is left, so it sits lower. sigma then
+    enters the levels at its coface's value, not its own.
     """
     core, steps = reference_greedy_collapse(K)
     r, n = len(core), len(steps)
     values = {s: i for i, s in enumerate(sorted(core, key=lambda s: (len(s), s)))}
     for i, (sigma, tau, _) in enumerate(steps):
-        values[sigma] = values[tau] = r + (n - 1 - i)
+        values[tau] = r + (n - 1 - i)
+        values[sigma] = values[tau] + (Fraction(1, 2) if split else 0)
     return values, core, steps
 
 

@@ -258,6 +258,16 @@ def test_collapse_steps_entries_must_be_lists(triangle_doc, tmp_path, capsys, en
     assert err == f"error: DocumentError: {steps}: entry 1 is not a list of vertex ids\n"
 
 
+def test_collapse_malformed_steps_file(triangle_doc, tmp_path, capsys):
+    steps = tmp_path / "steps.json"
+    steps.write_text("[[1, 2],\n [1 2]]\n")
+    code, out, err = run_cli(capsys, "collapse", triangle_doc, "--steps", str(steps))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: DocumentError: {steps}: ")
+    assert err.endswith(" (line 2)\n")
+
+
 def test_collapse_missing_steps_file(triangle_doc, tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "collapse", triangle_doc, "--steps", str(tmp_path / "none.json")
@@ -457,7 +467,9 @@ def test_huge_decimal_exponents_are_refused_quickly(tmp_path, capsys, source):
 
 
 def test_parse_rational_exponent_bound():
-    assert parse_rational("1e4300") == 10 ** 4300
+    with pytest.raises(DocumentError, match="longer than 4300 digits"):
+        parse_rational("1e4300")
+    assert parse_rational("1e4299") == 10 ** 4299
     assert parse_rational("25E-4300") == Fraction(25, 10 ** 4300)
     assert parse_rational(" 7/2 ") == Fraction(7, 2)
     for text in ("1e4301", "1.5e-4301", "1e+99999999999999999999"):
@@ -465,6 +477,21 @@ def test_parse_rational_exponent_bound():
             parse_rational(text)
     with pytest.raises(DocumentError, match="cannot parse"):
         parse_rational("1e" + "9" * 5000)
+
+
+@pytest.mark.parametrize("text", ["1e4300", "1e-4300", "99e4299"])
+def test_unprintable_values_are_refused(tmp_path, capsys, text):
+    with pytest.raises(DocumentError, match=f"'{text}' has a numerator or denominator longer than 4300 digits"):
+        parse_rational(text)
+    doc = write_complex(tmp_path / "edge.json", validate_complex([([0], 1), ([1], 1), ([0, 1], 1)]))
+    mdoc = write_morse(tmp_path / "f.json", [((0,), 0), ((1,), text), ((0, 1), text)])
+    code, out, err = run_cli(capsys, "morse", doc, mdoc, "--classify")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: DocumentError: {mdoc}: values[1]: '{text}' has a numerator"
+        " or denominator longer than 4300 digits\n"
+    )
 
 
 # --- morse: window certificate ---------------------------------------------------
@@ -824,6 +851,109 @@ def test_sequence_fasta_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sequence", str(headerless), "--weights", DNA)
     assert code == 2
     assert "before any '>' header" in err
+
+
+# --- malformed input -------------------------------------------------------------
+
+EDGE = {"simplices": [
+    {"vertices": [0], "weight": 1}, {"vertices": [1], "weight": 1},
+    {"vertices": [0, 1], "weight": 1},
+]}
+EDGE_VALUES = {"values": [
+    {"vertices": [0], "value": 0}, {"vertices": [1], "value": 1},
+    {"vertices": [0, 1], "value": 1},
+]}
+
+
+def _with_record(doc, key, i, **change):
+    records = [dict(r) for r in doc[key]]
+    records[i].update(change)
+    return {**doc, key: records}
+
+
+def _without(doc, key, i, field):
+    records = [dict(r) for r in doc[key]]
+    del records[i][field]
+    return {**doc, key: records}
+
+
+def _bad_complex(doc, message):
+    def build(tmp_path):
+        c = write_raw(tmp_path / "complex.json", doc)
+        return ["homology", c], message.format(c=c)
+    return build
+
+
+def _bad_morse(values, message, mode=("--classify",)):
+    def build(tmp_path):
+        c = write_raw(tmp_path / "complex.json", EDGE)
+        m = write_raw(tmp_path / "morse.json", values)
+        return ["morse", c, m, *mode], message.format(m=m)
+    return build
+
+
+# name -> a builder of (argv, error message) in a temporary directory
+REJECTED = {
+    "record-not-object": _bad_complex(
+        {"simplices": [5]},
+        "{c}: simplices[0]: expected an object with a 'vertices' list"),
+    "vertices-empty": _bad_complex(
+        _with_record(EDGE, "simplices", 0, vertices=[]),
+        "{c}: simplices[0]: 'vertices' must be a nonempty list"),
+    "vertices-not-list": _bad_complex(
+        _with_record(EDGE, "simplices", 1, vertices=1),
+        "{c}: simplices[1]: 'vertices' must be a nonempty list"),
+    "negative-vertex": _bad_complex(
+        _with_record(EDGE, "simplices", 0, vertices=[-1]),
+        "{c}: simplices[0]: vertex ids must be non-negative integers"),
+    "simplices-not-array": _bad_complex(
+        {"simplices": {"vertices": [0]}},
+        "{c}: 'simplices' must be an array"),
+    "vertex-names-not-object": _bad_complex(
+        {**EDGE, "vertex_names": ["x", "y"]},
+        "{c}: 'vertex_names' must be an object"),
+    "vertex-names-keys": _bad_complex(
+        {**EDGE, "vertex_names": {"zero": "x"}},
+        "{c}: 'vertex_names' keys must be integers"),
+    "weight-missing": _bad_complex(
+        _without(EDGE, "simplices", 2, "weight"),
+        "{c}: simplices[2]: missing 'weight'"),
+    "weight-not-integer": _bad_complex(
+        _with_record(EDGE, "simplices", 2, weight="1"),
+        "{c}: simplices[2]: 'weight' must be an integer"),
+    "values-missing": _bad_morse(
+        {"value": []},
+        "{m}: expected an object with a 'values' array"),
+    "values-not-array": _bad_morse(
+        {"values": {}},
+        "{m}: 'values' must be an array"),
+    "value-missing": _bad_morse(
+        _without(EDGE_VALUES, "values", 1, "value"),
+        "{m}: values[1]: missing 'value'"),
+    "value-not-number-or-string": _bad_morse(
+        _with_record(EDGE_VALUES, "values", 1, value=[1]),
+        "{m}: values[1]: 'value' must be an integer or a string"),
+    "bad-cell": _bad_morse(
+        EDGE_VALUES,
+        "cannot parse cell '0,x'; expected comma-separated vertex ids",
+        ("--window", "0", "1", "--cell", "0,x")),
+    # a directory passes the existence check and then fails to open
+    "unreadable-fasta": lambda tmp_path: (
+        ["sequence", str(tmp_path), "--weights", DNA],
+        f"cannot read {tmp_path}: Is a directory"),
+    "emit-one-letter": lambda tmp_path: (
+        ["sequence", "A", "--weights", DNA, "--emit-complex", str(tmp_path / "out.json")],
+        "nothing to emit: the substring complex is empty"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_malformed_input_exits_2(tmp_path, capsys, case):
+    argv, message = REJECTED[case](tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: DocumentError: {message}\n"
 
 
 # --- wiring -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -19,9 +20,11 @@ from conftest import (
     xyyy_setup,
 )
 from wmorse import (
+    DocumentError,
     ExtraCritical,
     HomologyGroup,
     HypothesisFailed,
+    InternalInvariantError,
     MorseViolation,
     NoValidAPrime,
     NotCritical,
@@ -39,6 +42,7 @@ from wmorse import (
     validate_complex,
     validate_morse,
 )
+from wmorse.collapse import _Collapser
 from wmorse.documents import load_morse_document
 from wmorse.generators import random_weighted_complex
 from wmorse.morse import MorseFunction, to_fraction
@@ -58,6 +62,19 @@ class TestToFraction:
             to_fraction(True)
         with pytest.raises(ValueError):
             to_fraction(object())
+
+    def test_strings_are_bounded_on_the_library_path(self):
+        K = full_simplex(1)
+        started = time.perf_counter()
+        with pytest.raises(DocumentError, match="larger than 4300 in magnitude"):
+            validate_morse(K, {(0,): 0, (1,): "1e10000000", (0, 1): "1e10000000"})
+        # building and comparing 10**10000000 took about 25 s
+        assert time.perf_counter() - started < 1
+        f = validate_morse(K, {(0,): 0, (1,): 1, (0, 1): 1})
+        with pytest.raises(DocumentError, match="longer than 4300 digits"):
+            level_subcomplex(K, f, "1e-4300")
+        with pytest.raises(DocumentError, match="cannot parse 'x'"):
+            morse_collapse(K, f, "x", 1)
 
 
 class TestValidateMorse:
@@ -305,6 +322,25 @@ class TestMorseCollapse:
         cls = classify(end, f)
         assert cls.critical == end.complex.simplices
 
+    # each fault leaves a live set other than K(lower) after the top level
+    # of circle_with_tails, the pair ((4,), (0, 4)): one with the right
+    # count, one with no cell of the level left
+    @pytest.mark.parametrize("fault", ["keeps-tau", "drops-a-lower-cell"])
+    def test_level_check_sees_any_other_live_set(self, monkeypatch, fault):
+        K, f = circle_with_tails()
+        real = _Collapser.collapse
+
+        def collapse(self, sigma):
+            step = real(self, sigma)
+            if fault == "keeps-tau":
+                self._up[step.tau] = set()
+            del self._up[(0,)]
+            return step
+
+        monkeypatch.setattr(_Collapser, "collapse", collapse)
+        with pytest.raises(InternalInvariantError, match=r"collapsing the cells at 3 does not reach K\(2\)"):
+            morse_collapse(K, f, 0, 3)
+
 
 class TestCriticalWindow:
     def test_disk_top_cell(self):
@@ -432,11 +468,22 @@ class TestAgainstGreedyReference:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9))
     def test_morse_layer_matches_the_greedy_reference(self, seed):
+        self.check(seed, split=False)
+
+    # each pair's face sits 1/2 above its coface, so faces enter the levels
+    # below their own value and some values have no cell entering at them
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9))
+    def test_split_pairs_match_the_greedy_reference(self, seed):
+        self.check(seed, split=True)
+
+    @staticmethod
+    def check(seed, split):
         rng = random.Random(seed)
         shape = random_weighted_complex(rng, max_vertices=7, max_facets=5, max_facet_dim=3)
         weight = rng.choice([1, 2, -3, 6])
         K = WeightedComplex(shape.complex, {s: weight for s in shape})
-        values, core, steps = greedy_morse_values(K)
+        values, core, steps = greedy_morse_values(K, split)
         r, n = len(core), len(steps)
         f = validate_morse(K, values)
 
@@ -446,13 +493,14 @@ class TestAgainstGreedyReference:
         assert cls.w_simple == K.complex.simplices
 
         levels = f.distinct_values()
+        top = levels[-1]
         midpoints = [(x + y) / 2 for x, y in zip(levels, levels[1:])]
         for c in levels + midpoints:
             assert level_subcomplex(K, f, c).complex.simplices == reference_level(K, f, c), c
 
         above = ()
         if n:
-            result = morse_collapse(K, f, r - 1, r + n - 1)
+            result = morse_collapse(K, f, r - 1, top)
             above = tuple((s, t) for s, t, _ in steps)
             assert tuple((step.sigma, step.tau) for step in result.steps) == above
             current = result.start
@@ -463,7 +511,7 @@ class TestAgainstGreedyReference:
             assert result.end.complex.simplices == core
 
         alpha = max(core, key=lambda s: (len(s), s))
-        window = critical_window(K, f, alpha, r - 2, r + n - 1)
+        window = critical_window(K, f, alpha, r - 2, top)
         assert window.top.complex.simplices == core
         assert window.below.complex.simplices == core - {alpha}
         assert tuple((step.sigma, step.tau) for step in window.collapse_above.steps) == above
@@ -501,6 +549,23 @@ class TestWorkDoneOnce:
                             lambda self, sigma: asked.append(sigma) or real(self, sigma))
         classify(K, load_morse_document(str(path), K))
         assert sorted(asked) == sorted(K)
+
+    def test_collapses_read_the_cofacet_index_of_the_complex(self, monkeypatch):
+        K, f = circle_with_tails()
+        built = []
+        real = SimplicialComplex._cofacet_index
+
+        def index(self):
+            if self._cofacets is None:
+                built.append(self.simplices)
+            return real(self)
+
+        monkeypatch.setattr(SimplicialComplex, "_cofacet_index", index)
+        assert len(morse_collapse(K, f, 0, 3).steps) == 3
+        assert built == []
+        window = critical_window(K, f, (1, 2), "1/2", 8)
+        # only K(f(alpha)) gets an index of its own, to show alpha is maximal
+        assert built == [window.top.simplices]
 
     def test_critical_window_builds_each_level_once(self, monkeypatch):
         K, f = circle_with_tails()
