@@ -32,7 +32,7 @@ from .documents import (
 from .errors import HypothesisError, InternalInvariantError, ValidationError
 from .homology import HomologyGroup, group_at, homology
 from .morse import classify, critical_window, morse_collapse, parse_rational
-from .sequence import ALPHABETS, build_woc, sequence_fingerprint
+from .sequence import ALPHABETS, build_woc
 
 
 def _max_dim_cap() -> int | None:
@@ -74,6 +74,17 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
 def _load_complex(args) -> WeightedComplex:
     K, _ = load_complex_document(args.complex, constant_weight=args.constant_weight)
     return K
+
+
+def _compare_homology(K, L, cap, labels):
+    """Both homology lists, one comparison line per dimension, and whether all agree."""
+    before, after = homology(K, max_dim=cap), homology(L, max_dim=cap)
+    lines, agree = [], True
+    for n in range(max(len(before), len(after))):
+        b, a = group_at(before, n), group_at(after, n)
+        agree = agree and b == a
+        lines.append(f"H{n}: {labels[0]}={b} {labels[1]}={a} agree={'yes' if b == a else 'no'}")
+    return before, after, lines, agree
 
 
 # --- homology ---------------------------------------------------------------
@@ -123,16 +134,8 @@ def cmd_collapse(args) -> int:
     }
 
     if args.verify:
-        cap = _max_dim_cap()
-        before = homology(K, max_dim=cap)
-        after = homology(L, max_dim=cap)
-        dims = max(len(before), len(after))
-        agree = True
-        for n in range(dims):
-            b, a = group_at(before, n), group_at(after, n)
-            same = b == a
-            agree = agree and same
-            lines.append(f"verify H{n}: before={b} after={a} agree={'yes' if same else 'no'}")
+        before, after, compared, agree = _compare_homology(K, L, _max_dim_cap(), ("before", "after"))
+        lines.extend(f"verify {line}" for line in compared)
         lines.append(f"verify-agree: {'yes' if agree else 'no'}")
         payload["verify"] = {
             "before": _homology_json(before),
@@ -184,14 +187,8 @@ def cmd_morse(args) -> int:
         lines.append(f"steps: {len(cert.steps)}")
         lines.append(f"start: {len(cert.start)} simplices")
         lines.append(f"end: {len(cert.end)} simplices")
-        before = homology(cert.start, max_dim=cap)
-        after = homology(cert.end, max_dim=cap)
-        agree = True
-        for n in range(max(len(before), len(after))):
-            ga, gb = group_at(before, n), group_at(after, n)
-            same = ga == gb
-            agree = agree and same
-            lines.append(f"H{n}: start={ga} end={gb} agree={'yes' if same else 'no'}")
+        before, after, compared, agree = _compare_homology(cert.start, cert.end, cap, ("start", "end"))
+        lines.extend(compared)
         lines.append(f"agree: {'yes' if agree else 'no'}")
         payload = {
             "window": [str(a), str(b)],
@@ -294,13 +291,16 @@ def cmd_sequence(args) -> int:
     if args.emit_complex and len(records) > 1:
         raise DocumentError("--emit-complex needs a single-sequence input")
 
+    # the complex is built one dimension above the cap, as in sequence_fingerprint
+    skeleton = None if cap is None else cap + 1
     lines: list[str] = []
     payload_records = []
     for ident, seq in records:
         unknown = sorted(set(seq) - set(alphabet))
         if unknown:
             raise DocumentError(f"symbols {unknown} not in the alphabet")
-        groups = sequence_fingerprint(seq, weights, args.woc_type, max_dim=cap)
+        K, names = build_woc(seq, weights, args.woc_type, max_dim=skeleton)
+        groups = homology(K, max_dim=cap)
         block = _homology_lines(groups) if groups else ["(empty complex)"]
         if ident is not None:
             if lines:
@@ -311,10 +311,7 @@ def cmd_sequence(args) -> int:
             {"id": ident, "sequence": seq, "homology": _homology_json(groups)}
         )
 
-    if args.emit_complex:
-        ident, seq = records[0]
-        skeleton = None if cap is None else cap + 1
-        K, names = build_woc(seq, weights, args.woc_type, max_dim=skeleton)
+    if args.emit_complex:  # K and names are the one record's, from the loop
         if not len(K):
             raise DocumentError("nothing to emit: the substring complex is empty")
         dump_complex_document(
@@ -342,6 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--json", action="store_true", help="machine-readable output")
+
+    def add_complex(p):
+        p.add_argument("complex", help="complex document (JSON)")
         p.add_argument(
             "--constant-weight",
             type=int,
@@ -351,12 +351,12 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("homology", help="weighted homology of a complex document")
-    p.add_argument("complex", help="complex document (JSON)")
+    add_complex(p)
     add_common(p)
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("collapse", help="apply elementary collapses with verdicts")
-    p.add_argument("complex", help="complex document (JSON)")
+    add_complex(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--steps", help="JSON array of free faces to collapse, in order")
     group.add_argument(
@@ -369,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("morse", help="discrete Morse analysis of a complex")
-    p.add_argument("complex", help="complex document (JSON)")
+    add_complex(p)
     p.add_argument("morse", help="Morse document (JSON)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--classify", action="store_true", help="list critical and non-w-simple cells")

@@ -32,7 +32,7 @@ import heapq
 from dataclasses import dataclass
 
 from .complexes import Simplex, WeightedComplex, faces
-from .errors import NotFreeFace, NotMaximal, ZeroWeight
+from .errors import InternalInvariantError, NotFreeFace, NotMaximal, ZeroWeight
 from .homology import ClassOrder, HomologyGroup, boundary_matrices
 from .snf import IntMatrix, smith_normal_form
 
@@ -115,9 +115,9 @@ class _Collapser:
 
     def __init__(self, K: WeightedComplex, members: frozenset[Simplex] | None = None):
         if members is None:
-            self._up = {s: set(K.complex.cofacets(s)) for s in K}
+            self._up = {s: set(K.cofacets(s)) for s in K}
         else:
-            self._up = {s: {t for t in K.complex.cofacets(s) if t in members} for s in members}
+            self._up = {s: {t for t in K.cofacets(s) if t in members} for s in members}
         self._heap = [s for s, up in self._up.items() if len(up) == 1]
         heapq.heapify(self._heap)
 
@@ -224,13 +224,16 @@ def elementary_removal(K: WeightedComplex, sigma) -> tuple[WeightedComplex, Remo
         raise NotMaximal(sigma)
     if K.weight(sigma) == 0:
         raise ZeroWeight(sigma)
-    L = K.without((sigma,))
-    n = len(sigma) - 1
+    return K.without((sigma,)), _removal_report(K, sigma)
 
+
+def _removal_report(K: WeightedComplex, sigma: Simplex) -> RemovalReport:
+    # sigma is a maximal simplex of K with nonzero weight
+    n = len(sigma) - 1
     if n == 0:
         # the boundary lands in the zero module; its class is zero and
         # dimension 0 always gains a free summand
-        report = RemovalReport(
+        return RemovalReport(
             sigma=sigma,
             dimension=0,
             boundary_chain=(),
@@ -238,20 +241,20 @@ def elementary_removal(K: WeightedComplex, sigma) -> tuple[WeightedComplex, Remo
             gains_free_summand=True,
             quotient_below=None,
         )
-        return L, report
 
-    # L shares K's bases below n and its d_n is K's without sigma's
-    # column, so [d_n(L) | chain] is K's d_n up to column order
+    # K minus sigma shares K's bases below n and its d_n is K's without
+    # sigma's column, so [d_n(K - sigma) | chain] is K's d_n up to column order
     bd = boundary_matrices(K)
     dK = bd.matrix(n)
     j = bd.basis(n).index(sigma)
     chain = dK.column(j)
-    bd.cycle(n - 1, chain)
+    if any(bd.matrix(n - 1).apply(chain)):
+        raise InternalInvariantError(f"the boundary of {list(sigma)} is not a cycle")
     dL = IntMatrix(dK.rows, dK.cols - 1, dK.columns[:j] + dK.columns[j + 1:])
     extended = smith_normal_form(dK)
     order = ClassOrder.of(smith_normal_form(dL), extended)
     cycles = len(bd.basis(n - 1)) - smith_normal_form(bd.matrix(n - 1)).rank
-    report = RemovalReport(
+    return RemovalReport(
         sigma=sigma,
         dimension=n,
         boundary_chain=chain,
@@ -261,4 +264,3 @@ def elementary_removal(K: WeightedComplex, sigma) -> tuple[WeightedComplex, Remo
             cycles - extended.rank, tuple(d for d in extended.factors if d > 1)
         ),
     )
-    return L, report

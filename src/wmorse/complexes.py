@@ -4,8 +4,9 @@ A simplex is a nonempty tuple of strictly increasing non-negative
 integer vertex ids. Keeping vertices in ascending order fixes the
 orientation once and for all, so boundary signs are deterministic.
 
-A weighted complex assigns an integer to every simplex subject to the
-divisibility rule: whenever sigma is a face of tau, w(sigma) divides
+A weighted complex is a simplicial complex, the same class with the
+same queries, that also assigns an integer to every simplex subject to
+the divisibility rule: whenever sigma is a face of tau, w(sigma) divides
 w(tau). Divisibility is taken with the convention that 0 divides only
 0, so the set of zero-weight simplices is closed under taking cofaces.
 Negative weights are allowed; divisibility ignores sign.
@@ -204,14 +205,17 @@ class SimplicialComplex:
         return SimplicialComplex(self._simplices - gone)
 
 
-class WeightedComplex:
+class WeightedComplex(SimplicialComplex):
     """A simplicial complex together with a divisibility-compatible weight.
 
-    Instances are immutable after construction; all operations return
-    new objects. Weights are plain Python integers, never floats.
+    It shares the simplex set, the dimension table and the cofacet
+    index (if already built) of the complex it is given, without
+    copying them. Instances are immutable after construction; all
+    operations return new objects. Weights are plain Python integers,
+    never floats. A weighted complex never equals an unweighted one.
     """
 
-    __slots__ = ("_complex", "_weight")
+    __slots__ = ("_weight",)
 
     def __init__(self, complex: SimplicialComplex, weight: Mapping[Simplex, int]):
         w: dict[Simplex, int] = {}
@@ -228,52 +232,25 @@ class WeightedComplex:
             for f in faces(s):
                 if not _divides(w[f], w[s]):
                     raise DivisibilityViolation(f, s, w[f], w[s])
-        self._complex = complex
+        self._simplices = complex._simplices
+        self._by_dim = complex._by_dim
+        self._cofacets = complex._cofacets
         self._weight = w
-
-    @property
-    def complex(self) -> SimplicialComplex:
-        return self._complex
-
-    @property
-    def simplices(self) -> frozenset[Simplex]:
-        return self._complex.simplices
-
-    @property
-    def dimension(self) -> int:
-        return self._complex.dimension
-
-    def of_dim(self, n: int) -> tuple[Simplex, ...]:
-        return self._complex.of_dim(n)
 
     def weight(self, sigma: Simplex) -> int:
         return self._weight[tuple(sigma)]
 
     def items(self) -> list[tuple[Simplex, int]]:
-        return [(s, self._weight[s]) for s in self._complex]
-
-    def __contains__(self, sigma) -> bool:
-        return tuple(sigma) in self._complex.simplices
-
-    def __iter__(self) -> Iterator[Simplex]:
-        return iter(self._complex)
-
-    def __len__(self) -> int:
-        return len(self._complex)
+        return [(s, self._weight[s]) for s in self]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, WeightedComplex):
+        if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._complex == other._complex and self._weight == other._weight
+        return (isinstance(other, WeightedComplex) and self._simplices == other._simplices
+                and self._weight == other._weight)
 
     def __repr__(self) -> str:
         return f"WeightedComplex({len(self)} simplices, dim {self.dimension})"
-
-    def free_coface(self, sigma: Simplex) -> Simplex | None:
-        return self._complex.free_coface(sigma)
-
-    def is_maximal(self, sigma: Simplex) -> bool:
-        return self._complex.is_maximal(sigma)
 
     def restrict(self, members: Iterable[Simplex]) -> "WeightedComplex":
         """Sub-complex on the given simplices, keeping their weights.
@@ -282,13 +259,13 @@ class WeightedComplex:
         """
         selected = SimplicialComplex(tuple(s) for s in members)
         for s in selected.simplices:
-            if s not in self._complex.simplices:
+            if s not in self._simplices:
                 raise KeyError(f"{list(s)} is not a simplex of this complex")
         return WeightedComplex(selected, self._weight)
 
     def without(self, removed: Iterable[Simplex]) -> "WeightedComplex":
         gone = {tuple(s) for s in removed}
-        return self.restrict(self._complex.simplices - gone)
+        return self.restrict(self._simplices - gone)
 
 
 def validate_complex(entries: Iterable[tuple[Iterable[int], int]]) -> WeightedComplex:

@@ -19,14 +19,29 @@ from typing import Mapping
 
 from .complexes import Simplex, SimplicialComplex, WeightedComplex, simplex, validate_complex
 from .errors import DocumentError
-from .morse import MorseFunction, parse_rational, validate_morse
+from .morse import MAX_DIGITS, MorseFunction, parse_rational, validate_morse
+
+
+class _LongLiteral(str):
+    """A JSON integer literal of more than MAX_DIGITS digits, kept as text."""
+
+
+def _parse_int(literal: str):
+    # int() refuses such a literal from Python 3.11 on, with an error that
+    # names neither the file nor the entry; kept as text, the entry is named
+    return _LongLiteral(literal) if len(literal.lstrip("-")) > MAX_DIGITS else int(literal)
+
+
+def _refuse_long(x, where: str) -> None:
+    if isinstance(x, _LongLiteral):
+        raise DocumentError(f"{where}: integer literal with more than {MAX_DIGITS} digits")
 
 
 def _load_json(path: str, exact_decimals: bool = False):
     kwargs = {"parse_float": str} if exact_decimals else {}
     try:
         with open(path) as fh:
-            return json.load(fh, **kwargs)
+            return json.load(fh, parse_int=_parse_int, **kwargs)
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}")
     except json.JSONDecodeError as e:
@@ -40,6 +55,7 @@ def _vertex_list(record, where: str):
     if not isinstance(vs, list) or not vs:
         raise DocumentError(f"{where}: 'vertices' must be a nonempty list")
     for v in vs:
+        _refuse_long(v, where)
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise DocumentError(f"{where}: vertex ids must be non-negative integers")
     return vs
@@ -86,6 +102,7 @@ def load_complex_document(
         if "weight" not in r:
             raise DocumentError(f"{where}: missing 'weight'")
         w = r["weight"]
+        _refuse_long(w, where)
         if isinstance(w, bool) or not isinstance(w, int):
             raise DocumentError(f"{where}: 'weight' must be an integer")
         entries.append((vs, w))
@@ -118,6 +135,8 @@ def load_steps_document(path: str) -> list[Simplex]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, list):
             raise DocumentError(f"{path}: entry {i} is not a list of vertex ids")
+        for v in entry:
+            _refuse_long(v, f"{path}: entry {i}")
     return [simplex(entry) for entry in raw]
 
 

@@ -45,9 +45,9 @@ from .collapse import (
     PreservationVerdict,
     Verdict,
     check_preservation,
-    elementary_removal,
     RemovalReport,
     _Collapser,
+    _removal_report,
 )
 from .complexes import Simplex, WeightedComplex, faces, simplex
 from .errors import (
@@ -63,8 +63,9 @@ from .errors import (
 
 
 # A longer numerator or denominator than the interpreter converts to
-# text (4300 digits by default) could not be printed; the exponent is
-# bounded first because Fraction builds 10**exponent exactly.
+# text (4300 digits by default) could not be printed; the digit count
+# and the exponent are bounded first because Fraction converts every
+# digit and builds 10**exponent exactly.
 MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
 _UNPRINTABLE = 10 ** MAX_DIGITS
@@ -76,6 +77,8 @@ def parse_rational(text: str, where: str = "") -> Fraction:
     where, if given, names the entry in error messages.
     """
     prefix = f"{where}: " if where else ""
+    if len(text) > MAX_DIGITS and sum(map(str.isdigit, text)) > MAX_DIGITS:
+        raise DocumentError(f"{prefix}value has more than {MAX_DIGITS} digits")
     exponent = _EXPONENT.search(text)
     try:
         if exponent and abs(int(exponent.group(1))) > MAX_DIGITS:
@@ -171,7 +174,7 @@ def _scan_of(K: WeightedComplex, f: MorseFunction) -> _Scan:
     clash = None
     for s in reversed(list(K)):  # cofacets before their faces
         fs = value[s]
-        cofacets = K.complex.cofacets(s)
+        cofacets = K.cofacets(s)
         entry[s] = min([fs] + [entry[t] for t in cofacets])
         up = [t for t in cofacets if value[t] <= fs]
         down = [g for g in faces(s) if value[g] >= fs]
@@ -371,7 +374,7 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
     below = level_subcomplex(K, f, a_prime)
     if below.simplices != top.simplices - {alpha}:
         raise InternalInvariantError(f"K({a_prime}) is not K({fa}) minus {list(alpha)}")
-    if not top.is_maximal(alpha):
+    if any(t in top for t in K.cofacets(alpha)):
         raise InternalInvariantError(f"{list(alpha)} is not maximal in K({fa})")
 
     for s in K:
@@ -383,12 +386,8 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
     collapse_above = _morse_collapse(K, f, fa, b, level_subcomplex(K, f, b) if fa < b else top, top)
     collapse_below = _morse_collapse(K, f, a, a_prime, below, level_subcomplex(K, f, a) if a < a_prime else below)
 
-    if K.weight(alpha) != 0:
-        removed, report = elementary_removal(top, alpha)
-        if removed.simplices != below.simplices:
-            raise InternalInvariantError(f"removing {list(alpha)} from K({fa}) does not give K({a_prime})")
-    else:
-        report = None
+    # the set identity above already shows that top minus alpha is below
+    report = _removal_report(top, alpha) if K.weight(alpha) != 0 else None
 
     return CriticalWindow(
         alpha=alpha, a=a, b=b, a_prime=a_prime,

@@ -238,7 +238,7 @@ def test_criterion_08_level_collapse_certificate():
         cell("x"), cell("xy"), cell("y"),
         cell("x", "xy"), cell("xy", "y"),
     }
-    assert set(level_subcomplex(K, f, 2).complex) == expected_level
+    assert set(level_subcomplex(K, f, 2)) == expected_level
     assert set(cert.end) == expected_level
 
 

@@ -16,6 +16,8 @@ from fractions import Fraction
 import pytest
 
 import wmorse
+import wmorse.cli
+import wmorse.sequence
 from wmorse import __version__, validate_complex
 from wmorse.cli import main
 from wmorse.documents import dump_complex_document, load_complex_document, parse_rational
@@ -201,6 +203,20 @@ def test_collapse_verify_golden(triangle_doc, tmp_path, capsys):
         "verify H2: before=0 after=0 agree=yes\n"
         "verify-agree: yes\n"
     )
+
+
+def test_collapse_verify_reports_disagreement(triangle_doc, tmp_path, capsys):
+    steps = write_raw(tmp_path / "steps.json", [[1, 2], [1]])
+    code, out, _ = run_cli(
+        capsys, "collapse", triangle_doc, "--steps", steps, "--verify"
+    )
+    assert code == 0
+    assert out.splitlines()[-4:] == [
+        "verify H0: before=Z^1 (+) Z/2 after=Z^1 agree=no",
+        "verify H1: before=0 after=0 agree=yes",
+        "verify H2: before=0 after=0 agree=yes",
+        "verify-agree: no",
+    ]
 
 
 def test_collapse_auto_greedy_collapses_a_solid_simplex(tmp_path, capsys):
@@ -475,7 +491,7 @@ def test_parse_rational_exponent_bound():
     for text in ("1e4301", "1.5e-4301", "1e+99999999999999999999"):
         with pytest.raises(DocumentError, match="larger than 4300 in magnitude"):
             parse_rational(text)
-    with pytest.raises(DocumentError, match="cannot parse"):
+    with pytest.raises(DocumentError, match="has more than 4300 digits"):
         parse_rational("1e" + "9" * 5000)
 
 
@@ -605,14 +621,30 @@ BROKEN_WINDOW = {
         "m.level_subcomplex = lambda K, f, c: real(K, f, 0 if c == Fraction(3, 2) else c)\n",
         "K(3/2) is not K(2) minus",
     ),
+    # while the window is certified, K reports the edge [0, 1] of K(2)
+    # as a cofacet of alpha
     "maximality": (
-        "WeightedComplex.is_maximal = lambda self, sigma: False\n",
+        "import wmorse.cli as cli\n"
+        "real_window, real_cofacets = cli.critical_window, WeightedComplex.cofacets\n"
+        "def window(K, f, alpha, a, b):\n"
+        "    WeightedComplex.cofacets = lambda self, s: real_cofacets(self, s) + [(0, 1)] * (s == alpha)\n"
+        "    return real_window(K, f, alpha, a, b)\n"
+        "cli.critical_window = window\n",
         "[0, 1, 2] is not maximal in K(2)",
     ),
+    # one sign of d_1 flipped, so d_1 d_2 is no longer zero
     "removal": (
-        "real = m.elementary_removal\n"
-        "m.elementary_removal = lambda K, sigma: (K, real(K, sigma)[1])\n",
-        "removing [0, 1, 2] from K(2) does not give K(3/2)",
+        "import dataclasses\n"
+        "import wmorse.collapse as c\n"
+        "real = c.boundary_matrices\n"
+        "def flipped(K):\n"
+        "    bd = real(K)\n"
+        "    d1 = bd.matrices[1]\n"
+        "    first = {i: -x if i == min(d1.columns[0]) else x for i, x in d1.columns[0].items()}\n"
+        "    broken = type(d1)(d1.rows, d1.cols, (first,) + d1.columns[1:])\n"
+        "    return dataclasses.replace(bd, matrices=(bd.matrices[0], broken) + bd.matrices[2:])\n"
+        "c.boundary_matrices = flipped\n",
+        "the boundary of [0, 1, 2] is not a cycle",
     ),
 }
 
@@ -796,6 +828,39 @@ def test_sequence_emit_complex_round_trip(tmp_path, capsys):
     assert out2 == out
 
 
+def test_sequence_builds_each_record_once(tmp_path, capsys, monkeypatch):
+    built = []
+    real = wmorse.sequence.build_woc
+
+    def build(seq, *args, **kwargs):
+        built.append(seq)
+        return real(seq, *args, **kwargs)
+
+    monkeypatch.setattr(wmorse.sequence, "build_woc", build)
+    monkeypatch.setattr(wmorse.cli, "build_woc", build)
+    fasta = tmp_path / "two.fa"
+    fasta.write_text(">a\nCTC\n>b\nGTG\n")
+    assert run_cli(capsys, "sequence", str(fasta), "--weights", DNA)[0] == 0
+    assert built == ["CTC", "GTG"]
+
+    emitted = tmp_path / "ctc.json"
+    built.clear()
+    assert run_cli(capsys, "sequence", "CTC", "--weights", DNA, "--woc-type", "2",
+                   "--emit-complex", str(emitted))[0] == 0
+    assert built == ["CTC"]
+    K, names = real("CTC", {"A": 1, "C": 2, "G": 3, "T": 4}, 2)
+    library = tmp_path / "library.json"
+    dump_complex_document(str(library), K, dict(enumerate(names)))
+    assert emitted.read_text() == library.read_text()
+
+
+def test_sequence_has_no_constant_weight(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sequence", "CTC", "--weights", DNA, "--constant-weight", "7"])
+    assert excinfo.value.code == 2
+    assert "--constant-weight" in capsys.readouterr().err
+
+
 def test_sequence_emit_complex_needs_single_record(tmp_path, capsys):
     fasta = tmp_path / "two.fa"
     fasta.write_text(">a\nCTC\n>b\nGTG\n")
@@ -954,6 +1019,41 @@ def test_malformed_input_exits_2(tmp_path, capsys, case):
     assert code == 2
     assert out == ""
     assert err == f"error: DocumentError: {message}\n"
+
+
+# case -> the entry its error names
+LONG_LITERAL_ENTRY = {
+    "weight": "complex.json: simplices[2]",
+    "value": "morse.json: values[1]",
+    "string-value": "morse.json: values[1]",
+    "step": "steps.json: entry 0",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_LITERAL_ENTRY))
+def test_long_integer_literals_name_their_entry(tmp_path, capsys, case):
+    # more digits than the interpreter converts to an int by default
+    digits = "1" + "0" * 4400
+
+    def write(name, doc, literal=digits):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc).replace('"BIG"', literal))
+        return str(path)
+
+    if case == "weight":
+        argv = ["homology", write("complex.json", _with_record(EDGE, "simplices", 2, weight="BIG"))]
+    elif case == "step":
+        argv = ["collapse", write("complex.json", EDGE), "--steps", write("steps.json", [["BIG"]])]
+    else:
+        values = _with_record(EDGE_VALUES, "values", 1, value="BIG")
+        literal = f'"{digits}"' if case == "string-value" else digits
+        argv = ["morse", write("complex.json", EDGE), write("morse.json", values, literal), "--classify"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: DocumentError: {tmp_path / LONG_LITERAL_ENTRY[case]}: ")
+    assert "more than 4300 digits" in err
+    assert len(err) < 300
 
 
 # --- wiring -------------------------------------------------------------------

@@ -92,7 +92,7 @@ class TestElementaryCollapse:
             Verdict.NOT_GUARANTEED,
             Verdict.NOT_GUARANTEED,
         ]
-        assert set(final.complex.simplices) == {(2,)}
+        assert set(final.simplices) == {(2,)}
 
         # homology along the chain: the guaranteed step preserves, the
         # first unguaranteed one loses torsion, the second happens to
@@ -306,6 +306,6 @@ def removal_respects_structure(K, sigma):
 def test_removal_reports_match_homology(seed):
     rng = random.Random(seed)
     K = random_weighted_complex(rng, max_vertices=7)
-    for sigma in K.complex.maximal_simplices():
+    for sigma in K.maximal_simplices():
         if K.weight(sigma) != 0:
             removal_respects_structure(K, sigma)

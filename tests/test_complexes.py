@@ -114,7 +114,7 @@ class TestWeightedComplex:
     def test_validate_complex_happy_path(self):
         K = validate_complex([([0], 1), ([1], 2), ([0, 1], 4)])
         assert K.weight((0, 1)) == 4
-        assert list(K.complex) == [(0,), (1,), (0, 1)]
+        assert list(K) == [(0,), (1,), (0, 1)]
 
     def test_missing_weight_rejected(self):
         sims = closure([(0, 1)])
@@ -152,16 +152,22 @@ class TestWeightedComplex:
             ([0, 1, 2], 4),
         ])
         L = K.without([(0, 1, 2)])
-        assert (0, 1, 2) not in L.complex
+        assert (0, 1, 2) not in L
         assert L.weight((0, 1)) == 2
         M = K.restrict([(0,), (1,), (0, 1)])
-        assert list(M.complex) == [(0,), (1,), (0, 1)]
+        assert list(M) == [(0,), (1,), (0, 1)]
 
     def test_items_and_equality(self):
         K = validate_complex([([0], 3)])
         assert K.items() == [((0,), 3)]
         assert K == validate_complex([([0], 3)])
         assert K != validate_complex([([0], 4)])
+        # a weighted complex is a simplicial complex but never equals an unweighted one
+        plain = SimplicialComplex([(0,)])
+        assert isinstance(K, SimplicialComplex)
+        assert K != plain and plain != K
+        with pytest.raises(TypeError):
+            hash(K)
 
 
 def entries_of(K):
@@ -187,7 +193,7 @@ def test_generator_output_validates(seed, zero_chance):
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_free_coface_properties(seed):
     rng = random.Random(seed)
-    K = random_weighted_complex(rng).complex
+    K = random_weighted_complex(rng)
     for s in K:
         t = K.free_coface(s)
         if t is None:
@@ -203,7 +209,7 @@ def test_free_coface_properties(seed):
 @given(st.integers(min_value=0, max_value=10 ** 9))
 def test_coface_queries_match_subset_enumeration(seed):
     rng = random.Random(seed)
-    K = random_weighted_complex(rng, max_vertices=9, max_facets=7, max_facet_dim=4).complex
+    K = random_weighted_complex(rng, max_vertices=9, max_facets=7, max_facet_dim=4)
     up = reference_proper_cofaces(K.simplices)
     for s in K:
         want = sorted(up[s], key=lambda t: (len(t), t))

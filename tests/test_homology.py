@@ -34,7 +34,7 @@ from wmorse.homology import boundary_matrix, chain_bases
 
 
 def scaled(K, c):
-    return WeightedComplex(K.complex, {s: c * w for s, w in K.items()})
+    return WeightedComplex(K, {s: c * w for s, w in K.items()})
 
 
 class TestHomologyGroup:
@@ -143,8 +143,8 @@ class TestClassicalAgreement:
     def test_random_complexes_constant_weight(self, seed):
         rng = random.Random(seed)
         K = random_weighted_complex(rng)
-        ones = WeightedComplex(K.complex, {s: 1 for s in K.complex.simplices})
-        sixes = WeightedComplex(K.complex, {s: 6 for s in K.complex.simplices})
+        ones = WeightedComplex(K, {s: 1 for s in K.simplices})
+        sixes = WeightedComplex(K, {s: 6 for s in K.simplices})
         assert homology(ones) == homology(sixes)
 
 
