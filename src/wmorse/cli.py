@@ -29,7 +29,7 @@ from .documents import (
     parse_weights_spec,
     read_fasta,
 )
-from .errors import HypothesisError, InternalInvariantError, ValidationError
+from .errors import HypothesisError, InternalInvariantError, ValidationError, quoted
 from .homology import HomologyGroup, group_at, homology
 from .morse import classify, critical_window, morse_collapse, parse_rational
 from .sequence import ALPHABETS, build_woc
@@ -42,7 +42,7 @@ def _max_dim_cap() -> int | None:
     try:
         cap = int(raw)
     except ValueError:
-        raise DocumentError(f"WMORSE_MAX_DIM must be an integer, got {raw!r}")
+        raise DocumentError(f"WMORSE_MAX_DIM must be an integer, got {quoted(raw)}")
     if cap < 0:
         raise DocumentError("WMORSE_MAX_DIM must be non-negative")
     return cap
@@ -273,7 +273,7 @@ def _parse_cell(text: str) -> list[int]:
     try:
         return [int(p) for p in cleaned.split(",") if p.strip() != ""]
     except ValueError:
-        raise DocumentError(f"cannot parse cell {text!r}; expected comma-separated vertex ids")
+        raise DocumentError(f"cannot parse cell {quoted(text)}; expected comma-separated vertex ids")
 
 
 # --- sequence ----------------------------------------------------------------

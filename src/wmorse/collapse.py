@@ -1,4 +1,4 @@
-"""Elementary collapses and removals of weighted simplices.
+"""Elementary collapses of weighted simplices.
 
 A free face sigma is one whose only proper coface is a single simplex
 tau (then tau has exactly one more vertex and is maximal). Removing the
@@ -18,11 +18,6 @@ incremental state: a cofacet map that each collapse edits in O(dim),
 plus a heap of free faces. None of them rebuilds or rescans the complex
 per step; each builds its result complex once, at the end.
 elementary_collapse is the one-step operation on a whole complex.
-
-Removal of a single maximal simplex is the orthogonal surgery: it can
-only touch homology in the two dimensions next to the removed cell, and
-which way dimension n moves is decided by the order of the removed
-boundary's class.
 """
 
 from __future__ import annotations
@@ -32,9 +27,7 @@ import heapq
 from dataclasses import dataclass
 
 from .complexes import Simplex, WeightedComplex, faces
-from .errors import InternalInvariantError, NotFreeFace, NotMaximal, ZeroWeight
-from .homology import ClassOrder, HomologyGroup, boundary_matrices
-from .snf import IntMatrix, smith_normal_form
+from .errors import NotFreeFace
 
 
 @dataclass(frozen=True)
@@ -190,77 +183,3 @@ def greedy_collapse(K: WeightedComplex) -> tuple[
         step = state.collapse(sigma)
         applied.append((step, check_preservation(K, step)))
     return K.restrict(state.simplices), applied
-
-
-@dataclass(frozen=True)
-class RemovalReport:
-    """What removing one maximal simplex does to homology.
-
-    For a removed n-simplex sigma with nonzero weight:
-
-    * every dimension other than n - 1 and n is untouched;
-    * dimension n - 1 of the larger complex is the quotient of the
-      smaller one by the class of the weighted boundary of sigma
-      (``quotient_below``, computed from a presentation with the extra
-      boundary column; None when n = 0, where there is nothing below);
-    * dimension n gains a free summand exactly when that class has
-      finite order (``gains_free_summand``).
-    """
-
-    sigma: Simplex
-    dimension: int
-    boundary_chain: tuple[int, ...]
-    class_order: ClassOrder
-    gains_free_summand: bool
-    quotient_below: HomologyGroup | None
-
-
-def elementary_removal(K: WeightedComplex, sigma) -> tuple[WeightedComplex, RemovalReport]:
-    """Remove one maximal simplex of nonzero weight and report the effect."""
-    sigma = tuple(sigma)
-    if sigma not in K:
-        raise NotMaximal(sigma)
-    if not K.is_maximal(sigma):
-        raise NotMaximal(sigma)
-    if K.weight(sigma) == 0:
-        raise ZeroWeight(sigma)
-    return K.without((sigma,)), _removal_report(K, sigma)
-
-
-def _removal_report(K: WeightedComplex, sigma: Simplex) -> RemovalReport:
-    # sigma is a maximal simplex of K with nonzero weight
-    n = len(sigma) - 1
-    if n == 0:
-        # the boundary lands in the zero module; its class is zero and
-        # dimension 0 always gains a free summand
-        return RemovalReport(
-            sigma=sigma,
-            dimension=0,
-            boundary_chain=(),
-            class_order=ClassOrder.zero(),
-            gains_free_summand=True,
-            quotient_below=None,
-        )
-
-    # K minus sigma shares K's bases below n and its d_n is K's without
-    # sigma's column, so [d_n(K - sigma) | chain] is K's d_n up to column order
-    bd = boundary_matrices(K)
-    dK = bd.matrix(n)
-    j = bd.basis(n).index(sigma)
-    chain = dK.column(j)
-    if any(bd.matrix(n - 1).apply(chain)):
-        raise InternalInvariantError(f"the boundary of {list(sigma)} is not a cycle")
-    dL = IntMatrix(dK.rows, dK.cols - 1, dK.columns[:j] + dK.columns[j + 1:])
-    extended = smith_normal_form(dK)
-    order = ClassOrder.of(smith_normal_form(dL), extended)
-    cycles = len(bd.basis(n - 1)) - smith_normal_form(bd.matrix(n - 1)).rank
-    return RemovalReport(
-        sigma=sigma,
-        dimension=n,
-        boundary_chain=chain,
-        class_order=order,
-        gains_free_summand=order.is_torsion,
-        quotient_below=HomologyGroup(
-            cycles - extended.rank, tuple(d for d in extended.factors if d > 1)
-        ),
-    )

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .complexes import Simplex, SimplicialComplex, WeightedComplex, simplex, validate_complex
-from .errors import DocumentError
+from .errors import DocumentError, quoted
 from .morse import MAX_DIGITS, MorseFunction, parse_rational, validate_morse
 
 
@@ -176,13 +176,15 @@ def parse_weights_spec(spec: str) -> dict[str, int]:
         if not part:
             continue
         if "=" not in part:
-            raise DocumentError(f"bad weight entry {part!r}, expected SYMBOL=INTEGER")
+            raise DocumentError(f"bad weight entry {quoted(part)}, expected SYMBOL=INTEGER")
         sym, _, value = part.partition("=")
         sym = sym.strip()
+        if sym in out:
+            raise DocumentError(f"weight for {quoted(sym)} given twice")
         try:
             out[sym] = int(value.strip())
         except ValueError:
-            raise DocumentError(f"bad weight for {sym!r}: {value.strip()!r}")
+            raise DocumentError(f"bad weight for {quoted(sym)}: {quoted(value.strip())}")
     if not out:
         raise DocumentError("empty weight specification")
     return out

@@ -101,6 +101,14 @@ class ZeroLetterWeight(ValidationError):
 
 # --- documents ------------------------------------------------------------
 
+def quoted(text: str) -> str:
+    """Input text for a message: quoted in full up to 60 characters,
+    else its first 20 and its length, so no message grows with input."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"
+
+
 class DocumentError(ValidationError):
     """Unreadable or schema-violating input file."""
 

@@ -6,12 +6,17 @@ each codimension-1 face by the weight ratio w(sigma) / w(face); the
 divisibility rule makes every ratio an integer, and a zero-weight face
 forces a zero-weight coface, so the ratio never needs a zero divisor.
 
-Boundaries are built once per complex as sparse columns and reduced by
-the sparse Smith engine of ``snf`` (invariant factors, no transforms).
+Each question builds only the boundaries it reads, as sparse columns,
+and reduces them by the sparse Smith engine of ``snf`` (no transforms).
 In dimension n the free rank is nullity(d_n) - rank(d_{n+1}) and the
 torsion coefficients are the invariant factors of d_{n+1} that exceed
 1; the boundary below dimension 0 is the zero map. A class order comes
 from the factors of d_{n+1} with and without the cycle as a column.
+
+Removal of a single maximal simplex is the surgery that is not a
+collapse: it can only touch homology in the two dimensions next to the
+removed cell, and which way dimension n moves is decided by the order
+of the removed boundary's class.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from math import prod
 from typing import Sequence
 
 from .complexes import Simplex, WeightedComplex, faces
-from .errors import InternalInvariantError, NotACycle
+from .errors import InternalInvariantError, NotACycle, NotMaximal, ZeroWeight
 from .snf import IntMatrix, SmithDecomposition, smith_normal_form
 
 
@@ -87,18 +92,6 @@ class WeightedBoundary:
         cols = len(self.basis(n))
         return IntMatrix.zeros(rows, cols)
 
-    def cycle(self, n: int, z: Sequence[int]) -> list[int]:
-        """z as an n-cycle over basis(n); raise if it is not one."""
-        z, size = list(z), len(self.basis(n))
-        if len(z) != size:
-            raise ValueError(f"chain has {len(z)} coordinates but dimension {n} has {size} basis simplices")
-        for x in z:
-            if isinstance(x, bool) or not isinstance(x, int):
-                raise ValueError(f"chain coordinates must be integers, got {x!r}")
-        if n >= 1 and any(self.matrix(n).apply(z)):
-            raise NotACycle(n)
-        return z
-
 
 def chain_bases(K: WeightedComplex) -> tuple[tuple[Simplex, ...], ...]:
     """Nonzero-weight simplices per dimension, lexicographically sorted."""
@@ -152,18 +145,17 @@ def homology(K: WeightedComplex, max_dim: int | None = None) -> list[HomologyGro
         top = min(top, max_dim)
     if top < 0:
         return []
-    bd = boundary_matrices(K)
-    reduced = [smith_normal_form(bd.matrix(n)) for n in range(top + 2)]
-    groups = []
-    for n in range(top + 1):
-        cycles = len(bd.basis(n)) - reduced[n].rank
-        above = reduced[n + 1]
-        free = cycles - above.rank
-        torsion = tuple(d for d in above.factors if d > 1)
-        if free < 0:
-            raise InternalInvariantError(f"negative free rank {free} in dimension {n}")
-        groups.append(HomologyGroup(free, torsion))
-    return groups
+    bases = chain_bases(K)
+    reduced = [smith_normal_form(boundary_matrix(K, n, bases)) for n in range(top + 2)]
+    return [_group(n, len(bases[n]), reduced[n], reduced[n + 1]) for n in range(top + 1)]
+
+
+def _group(n: int, cells: int, below: SmithDecomposition, above: SmithDecomposition) -> HomologyGroup:
+    """H_n from the reductions of d_n and d_{n+1}; C_n has `cells` basis simplices."""
+    free = cells - below.rank - above.rank
+    if free < 0:
+        raise InternalInvariantError(f"negative free rank {free} in dimension {n}")
+    return HomologyGroup(free, tuple(d for d in above.factors if d > 1))
 
 
 def group_at(groups: Sequence[HomologyGroup], n: int) -> HomologyGroup:
@@ -231,7 +223,76 @@ def homology_class_order(K: WeightedComplex, n: int, z: Sequence[int]) -> ClassO
     transform-free reductions: the boundary d_{n+1} and d_{n+1} with z
     appended as a column.
     """
-    bd = boundary_matrices(K)
-    z = bd.cycle(n, z)
-    d = bd.matrix(n + 1)
+    bases = chain_bases(K)
+    below = boundary_matrix(K, n, bases)
+    z = list(z)
+    if len(z) != below.cols:
+        raise ValueError(f"chain has {len(z)} coordinates but dimension {n} has {below.cols} basis simplices")
+    for x in z:
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"chain coordinates must be integers, got {x!r}")
+    if any(below.apply(z)):
+        raise NotACycle(n)
+    d = boundary_matrix(K, n + 1, bases)
     return ClassOrder.of(smith_normal_form(d), smith_normal_form(d.with_column(z)))
+
+
+@dataclass(frozen=True)
+class RemovalReport:
+    """What removing one maximal simplex does to homology.
+
+    For a removed n-simplex sigma with nonzero weight:
+
+    * every dimension other than n - 1 and n is untouched;
+    * dimension n - 1 of the larger complex is the quotient of the
+      smaller one by the class of the weighted boundary of sigma
+      (``quotient_below``, computed from a presentation with the extra
+      boundary column; None when n = 0, where there is nothing below);
+    * dimension n gains a free summand exactly when that class has
+      finite order (``gains_free_summand``).
+    """
+
+    sigma: Simplex
+    dimension: int
+    boundary_chain: tuple[int, ...]
+    class_order: ClassOrder
+    gains_free_summand: bool
+    quotient_below: HomologyGroup | None
+
+
+def elementary_removal(K: WeightedComplex, sigma) -> tuple[WeightedComplex, RemovalReport]:
+    """Remove one maximal simplex of nonzero weight and report the effect."""
+    sigma = tuple(sigma)
+    if sigma not in K or not K.is_maximal(sigma):
+        raise NotMaximal(sigma)
+    if K.weight(sigma) == 0:
+        raise ZeroWeight(sigma)
+    return K.without((sigma,)), _removal_report(K, sigma)
+
+
+def _removal_report(K: WeightedComplex, sigma: Simplex) -> RemovalReport:
+    # sigma is a maximal simplex of K with nonzero weight. K minus sigma
+    # shares K's bases below n and its d_n is K's without sigma's column,
+    # so [d_n(K - sigma) | chain] is K's d_n up to column order. When
+    # n = 0, d_0 has no rows: the chain is empty and its class is zero.
+    n = len(sigma) - 1
+    bases = chain_bases(K)
+    dK = boundary_matrix(K, n, bases)
+    j = bases[n].index(sigma)
+    chain = dK.column(j)
+    below = boundary_matrix(K, n - 1, bases)
+    if any(below.apply(chain)):
+        raise InternalInvariantError(f"the boundary of {list(sigma)} is not a cycle")
+    dL = IntMatrix(dK.rows, dK.cols - 1, dK.columns[:j] + dK.columns[j + 1:])
+    extended = smith_normal_form(dK)
+    order = ClassOrder.of(smith_normal_form(dL), extended)
+    return RemovalReport(
+        sigma=sigma,
+        dimension=n,
+        boundary_chain=chain,
+        class_order=order,
+        gains_free_summand=order.is_torsion,
+        quotient_below=(
+            _group(n - 1, len(bases[n - 1]), smith_normal_form(below), extended) if n else None
+        ),
+    )

@@ -45,13 +45,12 @@ from .collapse import (
     PreservationVerdict,
     Verdict,
     check_preservation,
-    RemovalReport,
     _Collapser,
-    _removal_report,
 )
 from .complexes import Simplex, WeightedComplex, faces, simplex
 from .errors import (
     DocumentError,
+    DuplicateSimplex,
     ExtraCritical,
     HypothesisFailed,
     InternalInvariantError,
@@ -59,7 +58,9 @@ from .errors import (
     NoValidAPrime,
     NotCritical,
     WSimpleFailed,
+    quoted,
 )
+from .homology import RemovalReport, _removal_report
 
 
 # A longer numerator or denominator than the interpreter converts to
@@ -82,12 +83,12 @@ def parse_rational(text: str, where: str = "") -> Fraction:
     exponent = _EXPONENT.search(text)
     try:
         if exponent and abs(int(exponent.group(1))) > MAX_DIGITS:
-            raise DocumentError(f"{prefix}{text!r} has a decimal exponent larger than {MAX_DIGITS} in magnitude")
+            raise DocumentError(f"{prefix}{quoted(text)} has a decimal exponent larger than {MAX_DIGITS} in magnitude")
         q = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"{prefix}cannot parse {text!r} as a rational")
+        raise DocumentError(f"{prefix}cannot parse {quoted(text)} as a rational")
     if abs(q.numerator) >= _UNPRINTABLE or q.denominator >= _UNPRINTABLE:
-        raise DocumentError(f"{prefix}{text!r} has a numerator or denominator longer than {MAX_DIGITS} digits")
+        raise DocumentError(f"{prefix}{quoted(text)} has a numerator or denominator longer than {MAX_DIGITS} digits")
     return q
 
 
@@ -202,11 +203,17 @@ def _scan_of(K: WeightedComplex, f: MorseFunction) -> _Scan:
 def validate_morse(K: WeightedComplex, values: Mapping) -> MorseFunction:
     """Check the two discrete Morse conditions on every simplex of K.
 
-    values must cover all of K (extra entries are allowed and kept).
+    values must cover all of K (extra entries are allowed and kept) and
+    name each simplex once, in whatever vertex order.
     All violations are collected before raising, so the error lists
     every offending cell with its witnesses.
     """
-    table = {simplex(s): to_fraction(v) for s, v in values.items()}
+    table = {}
+    for s, v in values.items():
+        s = simplex(s)
+        if s in table:
+            raise DuplicateSimplex(s)
+        table[s] = to_fraction(v)
     missing = [s for s in K if s not in table]
     if missing:
         raise ValueError(f"no Morse value for {[list(s) for s in missing]}")

@@ -634,16 +634,16 @@ BROKEN_WINDOW = {
     ),
     # one sign of d_1 flipped, so d_1 d_2 is no longer zero
     "removal": (
-        "import dataclasses\n"
-        "import wmorse.collapse as c\n"
-        "real = c.boundary_matrices\n"
-        "def flipped(K):\n"
-        "    bd = real(K)\n"
-        "    d1 = bd.matrices[1]\n"
-        "    first = {i: -x if i == min(d1.columns[0]) else x for i, x in d1.columns[0].items()}\n"
-        "    broken = type(d1)(d1.rows, d1.cols, (first,) + d1.columns[1:])\n"
-        "    return dataclasses.replace(bd, matrices=(bd.matrices[0], broken) + bd.matrices[2:])\n"
-        "c.boundary_matrices = flipped\n",
+        "import importlib\n"
+        "h = importlib.import_module('wmorse.homology')\n"
+        "real = h.boundary_matrix\n"
+        "def flipped(K, n, bases=None):\n"
+        "    d = real(K, n, bases)\n"
+        "    if n != 1:\n"
+        "        return d\n"
+        "    first = {i: -x if i == min(d.columns[0]) else x for i, x in d.columns[0].items()}\n"
+        "    return type(d)(d.rows, d.cols, (first,) + d.columns[1:])\n"
+        "h.boundary_matrix = flipped\n",
         "the boundary of [0, 1, 2] is not a cycle",
     ),
 }
@@ -1006,6 +1006,9 @@ REJECTED = {
     "unreadable-fasta": lambda tmp_path: (
         ["sequence", str(tmp_path), "--weights", DNA],
         f"cannot read {tmp_path}: Is a directory"),
+    "weights-repeated": lambda tmp_path: (
+        ["sequence", "ACG", "--weights", "A=1,C=2,G=3,C=5"],
+        "weight for 'C' given twice"),
     "emit-one-letter": lambda tmp_path: (
         ["sequence", "A", "--weights", DNA, "--emit-complex", str(tmp_path / "out.json")],
         "nothing to emit: the substring complex is empty"),
@@ -1054,6 +1057,28 @@ def test_long_integer_literals_name_their_entry(tmp_path, capsys, case):
     assert err.startswith(f"error: DocumentError: {tmp_path / LONG_LITERAL_ENTRY[case]}: ")
     assert "more than 4300 digits" in err
     assert len(err) < 300
+
+
+# case -> a call that gets several thousand characters of text it cannot parse
+LONG_TEXT = {
+    "rational": lambda: parse_rational("x" * 10000, "f.json: values[1]"),
+    "weights": lambda: main(["sequence", "ACG", "--weights", "A=" + "x" * 5000]),
+    "cell": lambda: wmorse.cli._parse_cell("x" * 5000),
+    "max-dim": lambda: main(["sequence", "ACG", "--weights", DNA]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_TEXT))
+def test_long_unparsable_text_is_not_echoed(capsys, monkeypatch, case):
+    if case == "max-dim":
+        monkeypatch.setenv("WMORSE_MAX_DIM", "x" * 3000)
+    try:
+        assert LONG_TEXT[case]() == 2
+        message = capsys.readouterr().err
+    except DocumentError as e:
+        message = str(e)
+    assert "characters)" in message
+    assert len(message) < 300
 
 
 # --- wiring -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Discrete Morse validation, level complexes, collapses, and windows."""
 
+import importlib
 import json
 import random
 import time
@@ -21,6 +22,7 @@ from conftest import (
 )
 from wmorse import (
     DocumentError,
+    DuplicateSimplex,
     ExtraCritical,
     HomologyGroup,
     HypothesisFailed,
@@ -32,11 +34,14 @@ from wmorse import (
     Verdict,
     WeightedComplex,
     WSimpleFailed,
+    boundary_matrices,
     classify,
     critical_window,
     elementary_collapse,
+    elementary_removal,
     group_at,
     homology,
+    homology_class_order,
     level_subcomplex,
     morse_collapse,
     validate_complex,
@@ -88,6 +93,12 @@ class TestValidateMorse:
         K = full_simplex(1)
         with pytest.raises(ValueError, match="no Morse value"):
             validate_morse(K, {(0,): 0, (1,): 0})
+
+    def test_simplex_named_twice_rejected(self):
+        K = full_simplex(1)
+        # (1, 0) is the edge (0, 1) again; its value must not replace the first
+        with pytest.raises(DuplicateSimplex, match=r"simplex \[0, 1\] listed twice"):
+            validate_morse(K, {(0,): 0, (1,): 2, (0, 1): 1, (1, 0): 5})
 
     def test_two_high_faces_rejected(self):
         K = validate_complex([([0], 1), ([1], 1), ([0, 1], 1)])
@@ -584,3 +595,31 @@ class TestWorkDoneOnce:
         assert len(window.collapse_below.steps) == 3
         # K(b), K(f(alpha)), K(a') and K(a) once each; the removal builds none
         assert Counter(built) == Counter([levels[8], levels[5], levels[3], levels[Fraction(1, 2)]])
+
+    def test_homology_questions_build_only_the_boundaries_they_read(self, monkeypatch):
+        homology_module = importlib.import_module("wmorse.homology")
+        real = homology_module.boundary_matrix
+        built = []
+
+        def boundary_matrix(K, n, bases=None):
+            built.append(n)
+            return real(K, n, bases)
+
+        monkeypatch.setattr(homology_module, "boundary_matrix", boundary_matrix)
+        K, f = circle_with_tails()
+        assert critical_window(K, f, (1, 2), "1/2", 8).removal.dimension == 1
+        assert set(built) == {0, 1}
+
+        K = full_simplex(4)
+        built.clear()
+        elementary_removal(K, (0, 1, 2, 3, 4))
+        assert set(built) == {3, 4}
+
+        z = boundary_matrices(K).matrix(2).column(0)
+        built.clear()
+        assert homology_class_order(K, 1, z).kind == "zero"
+        assert set(built) == {1, 2}
+
+        built.clear()
+        assert len(homology(K, max_dim=1)) == 2
+        assert max(built) <= 2
