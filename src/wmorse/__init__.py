@@ -5,149 +5,78 @@ exactly, decides when elementary collapses and removals preserve it,
 certifies discrete-Morse collapses between level complexes, and turns
 symbol sequences into weighted order complexes of their substring
 posets.
+
+Every public name below is importable from the package root, but a
+module is only loaded when one of its names is first read, so a program
+that needs collapses alone never loads homology or Smith reduction.
 """
+
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-from .errors import (
-    DivisibilityViolation,
-    DocumentError,
-    DuplicateSimplex,
-    DuplicateVertex,
-    ExtraCritical,
-    HypothesisError,
-    HypothesisFailed,
-    InternalInvariantError,
-    MorseViolation,
-    NoValidAPrime,
-    NotACycle,
-    NotCritical,
-    NotFaceClosed,
-    NotFreeFace,
-    NotMaximal,
-    UnweightedSymbol,
-    ValidationError,
-    WmorseError,
-    WSimpleFailed,
-    ZeroLetterWeight,
-    ZeroWeight,
-)
-from .complexes import (
-    Simplex,
-    SimplicialComplex,
-    WeightedComplex,
-    faces,
-    simplex,
-    validate_complex,
-)
-from .collapse import (
-    CollapseStep,
-    PreservationVerdict,
-    Verdict,
-    check_preservation,
-    collapse_sequence,
-    elementary_collapse,
-    greedy_collapse,
-)
-from .homology import (
-    ClassOrder,
-    HomologyGroup,
-    RemovalReport,
-    WeightedBoundary,
-    boundary_matrices,
-    chain_bases,
-    elementary_removal,
-    group_at,
-    homology,
-    homology_class_order,
-)
-from .morse import (
-    CellClassification,
-    CriticalWindow,
-    MorseCollapse,
-    MorseFunction,
-    classify,
-    critical_window,
-    level_subcomplex,
-    morse_collapse,
-    validate_morse,
-)
-from .sequence import (
-    ALPHABETS,
-    OrderComplex,
-    SubstringPoset,
-    WocType,
-    build_woc,
-    order_complex,
-    sequence_fingerprint,
-    substrings,
-)
-from .snf import IntMatrix, SmithDecomposition, rank, smith_normal_form
+_EXPORTS = {
+    "errors": (
+        "DivisibilityViolation", "DocumentError", "DuplicateSimplex", "DuplicateVertex",
+        "ExtraCritical", "HypothesisError", "HypothesisFailed", "InternalInvariantError",
+        "MorseViolation", "NoValidAPrime", "NotACycle", "NotCritical", "NotFaceClosed",
+        "NotFreeFace", "NotMaximal", "UnweightedSymbol", "ValidationError", "WmorseError",
+        "WSimpleFailed", "ZeroLetterWeight", "ZeroWeight",
+    ),
+    "complexes": (
+        "Simplex", "SimplicialComplex", "WeightedComplex", "faces", "simplex", "validate_complex",
+    ),
+    "collapse": (
+        "CollapseStep", "PreservationVerdict", "Verdict", "check_preservation",
+        "collapse_sequence", "elementary_collapse", "greedy_collapse",
+    ),
+    "homology": (
+        "ClassOrder", "HomologyGroup", "RemovalReport", "WeightedBoundary", "boundary_matrices",
+        "chain_bases", "elementary_removal", "group_at", "homology", "homology_class_order",
+    ),
+    "morse": (
+        "CellClassification", "CriticalWindow", "MorseCollapse", "MorseFunction", "classify",
+        "critical_window", "level_subcomplex", "morse_collapse", "validate_morse",
+    ),
+    "sequence": (
+        "ALPHABETS", "OrderComplex", "SubstringPoset", "WocType", "build_woc", "order_complex",
+        "sequence_fingerprint", "substrings",
+    ),
+    "snf": ("IntMatrix", "SmithDecomposition", "rank", "smith_normal_form"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
 
-__all__ = [
-    "ALPHABETS",
-    "CellClassification",
-    "ClassOrder",
-    "CollapseStep",
-    "CriticalWindow",
-    "DivisibilityViolation",
-    "DocumentError",
-    "DuplicateSimplex",
-    "DuplicateVertex",
-    "ExtraCritical",
-    "HomologyGroup",
-    "HypothesisError",
-    "HypothesisFailed",
-    "InternalInvariantError",
-    "IntMatrix",
-    "MorseCollapse",
-    "MorseFunction",
-    "MorseViolation",
-    "NoValidAPrime",
-    "NotACycle",
-    "NotCritical",
-    "NotFaceClosed",
-    "NotFreeFace",
-    "NotMaximal",
-    "OrderComplex",
-    "PreservationVerdict",
-    "RemovalReport",
-    "Simplex",
-    "SimplicialComplex",
-    "SmithDecomposition",
-    "SubstringPoset",
-    "UnweightedSymbol",
-    "ValidationError",
-    "Verdict",
-    "WSimpleFailed",
-    "WeightedBoundary",
-    "WeightedComplex",
-    "WmorseError",
-    "WocType",
-    "ZeroLetterWeight",
-    "ZeroWeight",
-    "boundary_matrices",
-    "chain_bases",
-    "check_preservation",
-    "classify",
-    "collapse_sequence",
-    "critical_window",
-    "elementary_collapse",
-    "elementary_removal",
-    "faces",
-    "greedy_collapse",
-    "group_at",
-    "homology",
-    "homology_class_order",
-    "level_subcomplex",
-    "morse_collapse",
-    "order_complex",
-    "rank",
-    "sequence_fingerprint",
-    "simplex",
-    "smith_normal_form",
-    "substrings",
-    "validate_complex",
-    "validate_morse",
-    "build_woc",
-]
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(types.ModuleType):
+    """The package module, with wmorse.homology kept as the function.
+
+    Loading the submodule wmorse.homology binds it to the package
+    attribute of the same name, which would hide the function. This
+    property drops a module assigned to it and keeps any other value.
+    """
+
+    @property
+    def homology(self):
+        return vars(self).get("homology") or importlib.import_module(f"{__name__}.homology").homology
+
+    @homology.setter
+    def homology(self, value):
+        if not isinstance(value, types.ModuleType):
+            vars(self)["homology"] = value
+
+
+sys.modules[__name__].__class__ = _Package

@@ -8,34 +8,23 @@ an operation's theorem hypothesis fails.
 
 The environment variable WMORSE_MAX_DIM caps the dimension of every
 homology report (useful to keep long-chain inputs tractable).
+
+Each subcommand imports the layers it runs when it is called, so that
+--version loads no layer and collapse loads neither homology nor Morse.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from . import __version__
-from .collapse import collapse_sequence, greedy_collapse
-from .complexes import WeightedComplex, simplex
-from .documents import (
-    DocumentError,
-    dump_complex_document,
-    load_complex_document,
-    load_morse_document,
-    load_steps_document,
-    parse_weights_spec,
-    read_fasta,
-)
-from .errors import HypothesisError, InternalInvariantError, ValidationError, quoted
-from .homology import HomologyGroup, group_at, homology
-from .morse import classify, critical_window, morse_collapse, parse_rational
-from .sequence import ALPHABETS, build_woc
 
 
 def _max_dim_cap() -> int | None:
+    from .errors import DocumentError, quoted
+
     raw = os.environ.get("WMORSE_MAX_DIM")
     if raw is None:
         return None
@@ -52,11 +41,11 @@ def _fmt_simplex(sigma) -> str:
     return "[" + ",".join(str(v) for v in sigma) + "]"
 
 
-def _homology_lines(groups: list[HomologyGroup]) -> list[str]:
+def _homology_lines(groups) -> list[str]:
     return [f"H{n} = {g}" for n, g in enumerate(groups)]
 
 
-def _homology_json(groups: list[HomologyGroup]) -> list[dict]:
+def _homology_json(groups) -> list[dict]:
     return [
         {"dim": n, "free_rank": g.free_rank, "torsion": list(g.torsion)}
         for n, g in enumerate(groups)
@@ -65,19 +54,25 @@ def _homology_json(groups: list[HomologyGroup]) -> list[dict]:
 
 def _emit(args, text_lines: list[str], payload: dict) -> None:
     if args.json:
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
             print(line)
 
 
-def _load_complex(args) -> WeightedComplex:
+def _load_complex(args):
+    from .documents import load_complex_document
+
     K, _ = load_complex_document(args.complex, constant_weight=args.constant_weight)
     return K
 
 
 def _compare_homology(K, L, cap, labels):
     """Both homology lists, one comparison line per dimension, and whether all agree."""
+    from .homology import group_at, homology
+
     before, after = homology(K, max_dim=cap), homology(L, max_dim=cap)
     lines, agree = [], True
     for n in range(max(len(before), len(after))):
@@ -90,6 +85,8 @@ def _compare_homology(K, L, cap, labels):
 # --- homology ---------------------------------------------------------------
 
 def cmd_homology(args) -> int:
+    from .homology import homology
+
     K = _load_complex(args)
     groups = homology(K, max_dim=_max_dim_cap())
     _emit(args, _homology_lines(groups), {"homology": _homology_json(groups)})
@@ -116,6 +113,9 @@ def _step_json(step, verdict) -> dict:
 
 
 def cmd_collapse(args) -> int:
+    from .collapse import collapse_sequence, greedy_collapse
+    from .documents import load_steps_document
+
     K = _load_complex(args)
     if args.auto_greedy:
         L, applied = greedy_collapse(K)
@@ -150,6 +150,10 @@ def cmd_collapse(args) -> int:
 # --- morse -------------------------------------------------------------------
 
 def cmd_morse(args) -> int:
+    from .complexes import simplex
+    from .documents import load_morse_document, parse_rational
+    from .morse import classify, critical_window, morse_collapse
+
     K = _load_complex(args)
     f = load_morse_document(args.morse, K)
     cap = _max_dim_cap()
@@ -269,6 +273,8 @@ def cmd_morse(args) -> int:
 
 
 def _parse_cell(text: str) -> list[int]:
+    from .errors import DocumentError, quoted
+
     cleaned = text.strip().strip("[]")
     try:
         return [int(p) for p in cleaned.split(",") if p.strip() != ""]
@@ -279,6 +285,10 @@ def _parse_cell(text: str) -> list[int]:
 # --- sequence ----------------------------------------------------------------
 
 def cmd_sequence(args) -> int:
+    from .documents import DocumentError, dump_complex_document, parse_weights_spec, read_fasta
+    from .homology import homology
+    from .sequence import ALPHABETS, build_woc
+
     alphabet = ALPHABETS.get(args.alphabet, tuple(args.alphabet))
     weights = parse_weights_spec(args.weights)
     cap = _max_dim_cap()
@@ -406,6 +416,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "morse" and args.window and not args.cell:
         parser.error("--window requires --cell")
+    from .errors import HypothesisError, InternalInvariantError, ValidationError
+
     try:
         return args.func(args)
     except ValidationError as e:

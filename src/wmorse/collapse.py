@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import Simplex, WeightedComplex, faces
 from .errors import NotFreeFace
 
 
-@dataclass(frozen=True)
-class CollapseStep:
+class CollapseStep(NamedTuple):
     """A removed free pair; tau is the unique coface of sigma."""
 
     sigma: Simplex
@@ -49,8 +48,7 @@ class Verdict(enum.Enum):
     NOT_GUARANTEED = "not-guaranteed"
 
 
-@dataclass(frozen=True)
-class PreservationVerdict:
+class PreservationVerdict(NamedTuple):
     verdict: Verdict
     w_sigma: int
     w_tau: int

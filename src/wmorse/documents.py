@@ -9,17 +9,57 @@ A Morse document is a JSON object with a "values" array of
 complex it accompanies. Values may be integers, "p/q" strings, or
 decimal strings; bare JSON decimals are also fine because their literal
 text is kept and parsed like a string, so no float is ever built.
+Every text value, here and in the library's Morse calls, is parsed by
+parse_rational. A key given twice in one JSON object is refused, as is
+a vertex_names key not written as a plain integer ("00", "1_0").
+
+Neither fractions nor the Morse layer is loaded until a Morse value is
+read, so the other subcommands do without them.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Mapping
+import re
+from typing import TYPE_CHECKING, Mapping
 
 from .complexes import Simplex, SimplicialComplex, WeightedComplex, simplex, validate_complex
 from .errors import DocumentError, quoted
-from .morse import MAX_DIGITS, MorseFunction, parse_rational, validate_morse
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .morse import MorseFunction
+
+# A longer numerator or denominator than the interpreter converts to
+# text (4300 digits by default) could not be printed; the digit count
+# and the exponent are bounded first because Fraction converts every
+# digit and builds 10**exponent exactly.
+MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+_UNPRINTABLE = 10 ** MAX_DIGITS
+
+
+def parse_rational(text: str, where: str = "") -> Fraction:
+    """Exact rational from text ("3", "1.5", "7/2", "2.5e-3").
+
+    where, if given, names the entry in error messages.
+    """
+    from fractions import Fraction
+
+    prefix = f"{where}: " if where else ""
+    if len(text) > MAX_DIGITS and sum(map(str.isdigit, text)) > MAX_DIGITS:
+        raise DocumentError(f"{prefix}value has more than {MAX_DIGITS} digits")
+    exponent = _EXPONENT.search(text)
+    try:
+        if exponent and abs(int(exponent.group(1))) > MAX_DIGITS:
+            raise DocumentError(f"{prefix}{quoted(text)} has a decimal exponent larger than {MAX_DIGITS} in magnitude")
+        q = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise DocumentError(f"{prefix}cannot parse {quoted(text)} as a rational")
+    if abs(q.numerator) >= _UNPRINTABLE or q.denominator >= _UNPRINTABLE:
+        raise DocumentError(f"{prefix}{quoted(text)} has a numerator or denominator longer than {MAX_DIGITS} digits")
+    return q
 
 
 class _LongLiteral(str):
@@ -38,10 +78,18 @@ def _refuse_long(x, where: str) -> None:
 
 
 def _load_json(path: str, exact_decimals: bool = False):
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))
+            raise DocumentError(f"{path}: key {quoted(key)} given twice in one object")
+        return obj
+
     kwargs = {"parse_float": str} if exact_decimals else {}
     try:
         with open(path) as fh:
-            return json.load(fh, parse_int=_parse_int, **kwargs)
+            return json.load(fh, parse_int=_parse_int, object_pairs_hook=unique_keys, **kwargs)
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}")
     except json.JSONDecodeError as e:
@@ -88,6 +136,9 @@ def load_complex_document(
             names = {int(k): str(v) for k, v in raw.items()}
         except ValueError:
             raise DocumentError(f"{path}: 'vertex_names' keys must be integers")
+        for k in raw:
+            if str(int(k)) != k:
+                raise DocumentError(f"{path}: 'vertex_names' key {quoted(k)} is not written as a plain integer")
 
     if constant_weight is not None:
         complex = SimplicialComplex.from_maximal(
@@ -142,6 +193,8 @@ def load_steps_document(path: str) -> list[Simplex]:
 
 def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
     """Read and validate a Morse document against a complex."""
+    from .morse import validate_morse
+
     doc = _load_json(path, exact_decimals=True)
     if not isinstance(doc, dict) or "values" not in doc:
         raise DocumentError(f"{path}: expected an object with a 'values' array")
@@ -160,7 +213,7 @@ def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
         s = simplex(vs)
         if s in table:
             raise DocumentError(f"{where}: simplex {list(s)} listed twice")
-        table[s] = Fraction(v) if isinstance(v, int) else parse_rational(v, where)
+        table[s] = v if isinstance(v, int) else parse_rational(v, where)
     uncovered = [s for s in K if s not in table]
     if uncovered:
         shown = ", ".join(str(list(s)) for s in uncovered[:5])

@@ -8,8 +8,9 @@ cell can have both kinds of wrong neighbour at once; a cell with
 neither is critical. Injectivity is not assumed anywhere.
 
 Values are exact rationals (fractions.Fraction), and text values are
-parsed once, by parse_rational, for library calls and the command line
-alike; no binary floats enter any comparison.
+parsed once, by documents.parse_rational (also importable from here),
+for library calls and the command line alike; no binary floats enter
+any comparison.
 
 The level complex K(c) collects every simplex that either has value at
 most c or sits under a coface with value at most c. Sliding c across a
@@ -34,7 +35,6 @@ from the top, on K's own cofacet index.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -48,8 +48,8 @@ from .collapse import (
     _Collapser,
 )
 from .complexes import Simplex, WeightedComplex, faces, simplex
+from .documents import parse_rational
 from .errors import (
-    DocumentError,
     DuplicateSimplex,
     ExtraCritical,
     HypothesisFailed,
@@ -58,38 +58,8 @@ from .errors import (
     NoValidAPrime,
     NotCritical,
     WSimpleFailed,
-    quoted,
 )
 from .homology import RemovalReport, _removal_report
-
-
-# A longer numerator or denominator than the interpreter converts to
-# text (4300 digits by default) could not be printed; the digit count
-# and the exponent are bounded first because Fraction converts every
-# digit and builds 10**exponent exactly.
-MAX_DIGITS = 4300
-_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
-_UNPRINTABLE = 10 ** MAX_DIGITS
-
-
-def parse_rational(text: str, where: str = "") -> Fraction:
-    """Exact rational from text ("3", "1.5", "7/2", "2.5e-3").
-
-    where, if given, names the entry in error messages.
-    """
-    prefix = f"{where}: " if where else ""
-    if len(text) > MAX_DIGITS and sum(map(str.isdigit, text)) > MAX_DIGITS:
-        raise DocumentError(f"{prefix}value has more than {MAX_DIGITS} digits")
-    exponent = _EXPONENT.search(text)
-    try:
-        if exponent and abs(int(exponent.group(1))) > MAX_DIGITS:
-            raise DocumentError(f"{prefix}{quoted(text)} has a decimal exponent larger than {MAX_DIGITS} in magnitude")
-        q = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise DocumentError(f"{prefix}cannot parse {quoted(text)} as a rational")
-    if abs(q.numerator) >= _UNPRINTABLE or q.denominator >= _UNPRINTABLE:
-        raise DocumentError(f"{prefix}{quoted(text)} has a numerator or denominator longer than {MAX_DIGITS} digits")
-    return q
 
 
 def to_fraction(value) -> Fraction:

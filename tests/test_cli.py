@@ -624,12 +624,11 @@ BROKEN_WINDOW = {
     # while the window is certified, K reports the edge [0, 1] of K(2)
     # as a cofacet of alpha
     "maximality": (
-        "import wmorse.cli as cli\n"
-        "real_window, real_cofacets = cli.critical_window, WeightedComplex.cofacets\n"
+        "real_window, real_cofacets = m.critical_window, WeightedComplex.cofacets\n"
         "def window(K, f, alpha, a, b):\n"
         "    WeightedComplex.cofacets = lambda self, s: real_cofacets(self, s) + [(0, 1)] * (s == alpha)\n"
         "    return real_window(K, f, alpha, a, b)\n"
-        "cli.critical_window = window\n",
+        "m.critical_window = window\n",
         "[0, 1, 2] is not maximal in K(2)",
     ),
     # one sign of d_1 flipped, so d_1 d_2 is no longer zero
@@ -837,7 +836,6 @@ def test_sequence_builds_each_record_once(tmp_path, capsys, monkeypatch):
         return real(seq, *args, **kwargs)
 
     monkeypatch.setattr(wmorse.sequence, "build_woc", build)
-    monkeypatch.setattr(wmorse.cli, "build_woc", build)
     fasta = tmp_path / "two.fa"
     fasta.write_text(">a\nCTC\n>b\nGTG\n")
     assert run_cli(capsys, "sequence", str(fasta), "--weights", DNA)[0] == 0
@@ -949,6 +947,14 @@ def _bad_complex(doc, message):
     return build
 
 
+def _bad_complex_text(text, message):
+    def build(tmp_path):
+        c = tmp_path / "complex.json"
+        c.write_text(text)
+        return ["homology", str(c)], message.format(c=c)
+    return build
+
+
 def _bad_morse(values, message, mode=("--classify",)):
     def build(tmp_path):
         c = write_raw(tmp_path / "complex.json", EDGE)
@@ -980,6 +986,18 @@ REJECTED = {
     "vertex-names-keys": _bad_complex(
         {**EDGE, "vertex_names": {"zero": "x"}},
         "{c}: 'vertex_names' keys must be integers"),
+    "vertex-names-leading-zero": _bad_complex(
+        {**EDGE, "vertex_names": {"0": "a", "00": "b"}},
+        "{c}: 'vertex_names' key '00' is not written as a plain integer"),
+    "vertex-names-underscore": _bad_complex(
+        {**EDGE, "vertex_names": {"1_0": "x"}},
+        "{c}: 'vertex_names' key '1_0' is not written as a plain integer"),
+    "key-repeated-in-record": _bad_complex_text(
+        '{"simplices": [{"vertices": [0], "weight": 1, "weight": 2}]}',
+        "{c}: key 'weight' given twice in one object"),
+    "key-repeated-at-top": _bad_complex_text(
+        '{"simplices": [{"vertices": [0], "weight": 1}], "simplices": []}',
+        "{c}: key 'simplices' given twice in one object"),
     "weight-missing": _bad_complex(
         _without(EDGE, "simplices", 2, "weight"),
         "{c}: simplices[2]: missing 'weight'"),
