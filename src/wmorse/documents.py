@@ -37,6 +37,10 @@ if TYPE_CHECKING:
 # digit and builds 10**exponent exactly.
 MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)\s*\Z")
+# with every digit read as 0, a digit run too long for int() is a run of
+# zeros, found by one substring search in C
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+_LONG_DIGIT_RUN = b"0" * (MAX_DIGITS + 1)
 _UNPRINTABLE = 10 ** MAX_DIGITS
 
 
@@ -89,9 +93,15 @@ def _load_json(path: str, exact_decimals: bool = False):
     kwargs = {"parse_float": str} if exact_decimals else {}
     try:
         with open(path) as fh:
-            return json.load(fh, parse_int=_parse_int, object_pairs_hook=unique_keys, **kwargs)
+            text = fh.read()
     except OSError as e:
         raise DocumentError(f"cannot read {path}: {e.strerror or e}")
+    # the callback is a Python call per integer, so it is passed only
+    # when the text holds a run of digits too long for int()
+    if _LONG_DIGIT_RUN in text.encode().translate(_DIGITS_TO_ZERO):
+        kwargs["parse_int"] = _parse_int
+    try:
+        return json.loads(text, object_pairs_hook=unique_keys, **kwargs)
     except json.JSONDecodeError as e:
         raise DocumentError(f"{path}: {e.msg}", line=e.lineno)
 

@@ -13,6 +13,17 @@ torsion coefficients are the invariant factors of d_{n+1} that exceed
 1; the boundary below dimension 0 is the zero map. A class order comes
 from the factors of d_{n+1} with and without the cycle as a column.
 
+homology() reduces from the top down and clears: each unit pivot (a
+face and coface of equal weight) that d_{n+1} takes before its first
+pivot that is not +-1 names an n-cell, and d_n is reduced without
+those cells' columns. Until then the engine has used column operations
+only, so the pivot columns are boundaries, unit-triangular on the
+named cells; as d_n kills every boundary, each dropped column is an
+integer combination of the kept ones. The column lattice of d_n, and
+with it its rank and invariant factors, is unchanged. A +-1 reached by
+Euclid steps comes after row operations and must not clear. Class
+orders and the removal reduce their full matrices.
+
 Removal of a single maximal simplex is the surgery that is not a
 collapse: it can only touch homology in the two dimensions next to the
 removed cell, and which way dimension n moves is decided by the order
@@ -21,35 +32,38 @@ of the removed boundary's class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .complexes import Simplex, WeightedComplex, faces
 from .errors import InternalInvariantError, NotACycle, NotMaximal, ZeroWeight
 from .snf import IntMatrix, SmithDecomposition, smith_normal_form
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class _GroupFields(NamedTuple):
+    free_rank: int
+    torsion: tuple[int, ...] = ()
+
+
+class HomologyGroup(_GroupFields):
     """A finitely generated abelian group in invariant factor form.
 
     torsion is a tuple of integers > 1, each dividing the next, so equal
     groups compare equal structurally.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        for d in self.torsion:
+        for d in torsion:
             if d <= 1:
                 raise ValueError(f"torsion coefficients must exceed 1, got {d}")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
+                raise ValueError(f"torsion {torsion} is not a divisibility chain")
+        return super().__new__(cls, free_rank, torsion)
 
     @classmethod
     def trivial(cls) -> "HomologyGroup":
@@ -67,8 +81,7 @@ class HomologyGroup:
         return " (+) ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class WeightedBoundary:
+class WeightedBoundary(NamedTuple):
     """Chain bases and boundary matrices of a weighted complex.
 
     bases[n] lists the nonzero-weight n-simplices in lexicographic
@@ -146,7 +159,13 @@ def homology(K: WeightedComplex, max_dim: int | None = None) -> list[HomologyGro
     if top < 0:
         return []
     bases = chain_bases(K)
-    reduced = [smith_normal_form(boundary_matrix(K, n, bases)) for n in range(top + 2)]
+    reduced, cleared = [None] * (top + 2), set()
+    for n in range(top + 1, -1, -1):  # top down, clearing as the module notes say
+        d = boundary_matrix(K, n, bases)
+        kept = [c for j, c in enumerate(d.columns) if j not in cleared]
+        unit_rows = []
+        reduced[n] = smith_normal_form(IntMatrix(d.rows, len(kept), kept), unit_rows=unit_rows)
+        cleared = set(unit_rows)
     return [_group(n, len(bases[n]), reduced[n], reduced[n + 1]) for n in range(top + 1)]
 
 
@@ -165,8 +184,7 @@ def group_at(groups: Sequence[HomologyGroup], n: int) -> HomologyGroup:
     return HomologyGroup.trivial()
 
 
-@dataclass(frozen=True)
-class ClassOrder:
+class ClassOrder(NamedTuple):
     """Order of a homology class: zero, finite torsion, or infinite.
 
     kind is one of "zero", "torsion", "infinite". For torsion classes k
@@ -237,8 +255,7 @@ def homology_class_order(K: WeightedComplex, n: int, z: Sequence[int]) -> ClassO
     return ClassOrder.of(smith_normal_form(d), smith_normal_form(d.with_column(z)))
 
 
-@dataclass(frozen=True)
-class RemovalReport:
+class RemovalReport(NamedTuple):
     """What removing one maximal simplex does to homology.
 
     For a removed n-simplex sigma with nonzero weight:

@@ -35,7 +35,6 @@ from the top, on K's own cofacet index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping, NamedTuple
@@ -107,8 +106,7 @@ class MorseFunction:
         return f"MorseFunction({len(self._values)} values)"
 
 
-@dataclass(frozen=True)
-class CellClassification:
+class CellClassification(NamedTuple):
     """Critical cells, w-simple cells, and the pairing of the rest.
 
     pair maps each non-critical cell to its unique wrong neighbour (the
@@ -211,8 +209,7 @@ def level_subcomplex(K: WeightedComplex, f: MorseFunction, c) -> WeightedComplex
     return K.restrict(s for s in K if entry[s] <= c)
 
 
-@dataclass(frozen=True)
-class MorseCollapse:
+class MorseCollapse(NamedTuple):
     """Certificate that K(b) collapses to K(a) through free pairs.
 
     steps and verdicts are aligned; every verdict is same-weight when
@@ -301,8 +298,7 @@ def _morse_collapse(K: WeightedComplex, f: MorseFunction, a: Fraction, b: Fracti
     return MorseCollapse(a=a, b=b, start=start, end=end, steps=tuple(steps), verdicts=tuple(verdicts))
 
 
-@dataclass(frozen=True)
-class CriticalWindow:
+class CriticalWindow(NamedTuple):
     """Certificate for a window containing exactly one critical cell.
 
     The complex K(f(alpha)) is K(a_prime) plus the single maximal cell

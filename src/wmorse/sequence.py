@@ -20,9 +20,8 @@ The fingerprint of a sequence is the weighted homology of this complex.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import lcm, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .complexes import SimplicialComplex, WeightedComplex
 from .errors import UnweightedSymbol, ZeroLetterWeight
@@ -83,8 +82,7 @@ def substrings(s: str) -> SubstringPoset:
     return SubstringPoset(found)
 
 
-@dataclass(frozen=True)
-class OrderComplex:
+class OrderComplex(NamedTuple):
     """Chains of a poset as a simplicial complex plus the name table."""
 
     complex: SimplicialComplex

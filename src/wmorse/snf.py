@@ -8,15 +8,30 @@ equal-weight face/coface pair of a weighted boundary; (2) least-magnitude
 pivots with Euclid steps on the unit-free rest; (3) a pairwise gcd/lcm
 pass making the diagonal a divisibility chain. Pivot order follows
 Dumas, Saunders and Villard, J. Symbolic Comput. 32 (2001).
+
+A heap holds each column's preferred pivot. A column is priced when it
+changes and only then: it carries a version stamp, and a popped entry
+with an older stamp is dropped unpriced. A price's fill cost reads the
+row counts of its time and may go stale; that moves the pivot order,
+never the factors.
+
+Clearing (Chen and Kerber, EuroCG 2011): the caller may ask for the rows
+of the unit pivots taken before the first pivot whose entry is not +-1.
+Up to that pivot every change to the other columns is a column
+operation, so the pivot columns are integer combinations of A's columns
+and form a unit-triangular block on those rows. If A is the boundary
+d_{n+1}, those rows name n-cells whose columns in d_n are integer
+combinations of the other columns of d_n, and d_n may be reduced
+without them. A unit reached later, or by Euclid restarts, has had row
+operations and names no such cell.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 class IntMatrix:
@@ -145,8 +160,7 @@ class _Entries(Sequence):
         return len(self) - len(nonzero) if value == 0 else nonzero.count(value)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """Invariant factors of a matrix.
 
     factors are positive and each divides the next; unit factors are
@@ -180,7 +194,8 @@ def _pivot(cols, row_index, i: int, j: int, touched: set[int]) -> int:
     against row i touch column j alone, so column j is reduced modulo
     the pivot. Any nonzero remainder becomes the pivot and the loop
     restarts; |pivot| strictly falls, so it ends (a unit never restarts).
-    Row i and column j then leave; other changed columns go to touched.
+    Row i and column j then leave. Every column that held an entry of a
+    pivot row goes to touched.
     """
     while True:
         p = cols[j][i]
@@ -206,7 +221,6 @@ def _pivot(cols, row_index, i: int, j: int, touched: set[int]) -> int:
         i = min(others, key=lambda r: abs(col[r]))
     row_index[i].discard(j)
     cols[j] = {}
-    touched.discard(j)
     return abs(p)
 
 
@@ -221,28 +235,32 @@ def _preferred_entry(col, row_index):
     return best
 
 
-def _diagonalise(cols, row_index) -> list[int]:
+def _diagonalise(cols, row_index, unit_rows: list[int] | None) -> list[int]:
     """Phases 1 and 2: pivot until no entry is left; return the diagonal.
 
-    A heap holds each column's preferred pivot (least |x|, then least
-    Markowitz cost), so unit pivots come first. Keys go stale as the
-    matrix fills: a popped column is re-priced and pushed back if it got
-    dearer, and every column a pivot changed is pushed again.
+    The heap holds (|x|, fill cost, column, stamp, row), so unit pivots
+    come first. Each pivot bumps the stamps of the columns it touched
+    and prices them anew. Rows of the leading unit pivots go to
+    unit_rows, when given, until the first pivot that is not a unit.
     """
     heap, diagonal, touched = [], [], set(range(len(cols)))
+    stamp = [0] * len(cols)
     while True:
         for k in touched:
+            stamp[k] += 1
             if (best := _preferred_entry(cols[k], row_index)) is not None:
-                heapq.heappush(heap, (best[0], best[1], k))
+                heapq.heappush(heap, (best[0], best[1], k, stamp[k], best[2]))
         touched.clear()
         if not heap:
             return diagonal
-        x, cost, j = heapq.heappop(heap)
-        best = _preferred_entry(cols[j], row_index)
-        if best is not None and best[:2] > (x, cost):
-            heapq.heappush(heap, (best[0], best[1], j))
-        elif best is not None:
-            diagonal.append(_pivot(cols, row_index, best[2], j, touched))
+        x, _, j, version, i = heapq.heappop(heap)
+        if version != stamp[j]:
+            continue
+        if x != 1:
+            unit_rows = None
+        diagonal.append(_pivot(cols, row_index, i, j, touched))
+        if unit_rows is not None:
+            unit_rows.append(i)
 
 
 def _divisibility_chain(diagonal: list[int]) -> tuple[int, ...]:
@@ -256,14 +274,19 @@ def _divisibility_chain(diagonal: list[int]) -> tuple[int, ...]:
     return tuple(d)
 
 
-def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
-    """Invariant factors of A over the integers; A is left unchanged."""
+def smith_normal_form(A: IntMatrix, *, unit_rows: list[int] | None = None) -> SmithDecomposition:
+    """Invariant factors of A over the integers; A is left unchanged.
+
+    With unit_rows given, the row of each unit pivot taken before the
+    first pivot that is not a unit is appended to it: the cells that
+    clearing may drop from the next boundary down.
+    """
     cols = [dict(c) for c in A.columns]
     row_index: list[set[int]] = [set() for _ in range(A.rows)]
     for j, col in enumerate(cols):
         for i in col:
             row_index[i].add(j)
-    return SmithDecomposition(_divisibility_chain(_diagonalise(cols, row_index)))
+    return SmithDecomposition(_divisibility_chain(_diagonalise(cols, row_index, unit_rows)))
 
 
 def rank(A: IntMatrix) -> int:

@@ -1,5 +1,6 @@
 """Weighted boundary matrices, homology groups, and class orders."""
 
+import importlib
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -14,6 +15,8 @@ from conftest import (
     full_simplex,
     groups_equal_padded,
     hollow_triangle_w2,
+    minor_gcd_factors,
+    rational_rank,
     sphere,
     weighted_disk,
 )
@@ -24,6 +27,7 @@ from wmorse import (
     SimplicialComplex,
     WeightedComplex,
     boundary_matrices,
+    build_woc,
     group_at,
     homology,
     homology_class_order,
@@ -31,6 +35,7 @@ from wmorse import (
 )
 from wmorse.generators import random_weighted_complex
 from wmorse.homology import boundary_matrix, chain_bases
+from wmorse.snf import IntMatrix, smith_normal_form
 
 
 def scaled(K, c):
@@ -356,3 +361,75 @@ def test_homology_of_cone_is_trivial_above_zero():
     cone_faces = [(0, 1, 3), (0, 2, 3), (1, 2, 3)]
     K = constant_complex(cone_faces, 1)
     assert homology(K) == [HomologyGroup(1), HomologyGroup(0), HomologyGroup(0)]
+
+
+# a mixed-sign complex whose d_2 reaches its fourth unit only after a
+# Euclid step: clearing on that unit drops an edge column of d_1 that is
+# no combination of the kept ones, and H0 comes out as Z (+) Z/8
+EUCLID_UNIT = {
+    (0,): 6, (1,): -4, (3,): 1, (4,): 2, (5,): 1,
+    (0, 1): 12, (0, 3): 6, (0, 4): -6, (0, 5): -6, (1, 3): 4, (1, 4): 8, (3, 4): 6, (3, 5): 3,
+    (4, 5): 2,
+    (0, 1, 3): 12, (0, 1, 4): 24, (0, 3, 4): -6, (1, 3, 4): -24, (3, 4, 5): 6,
+    (0, 1, 3, 4): 72,
+}
+
+
+def oracle_homology(K):
+    """Groups from the minor gcds and rational ranks of every full boundary."""
+    bd = boundary_matrices(K)
+    groups = []
+    for n in range(K.dimension + 1):
+        below, above = bd.matrix(n), bd.matrix(n + 1)
+        free = (below.cols - rational_rank(below.to_rows(), below.cols)
+                - rational_rank(above.to_rows(), above.cols))
+        torsion = minor_gcd_factors(above.to_rows(), above.cols)
+        groups.append(HomologyGroup(free, tuple(d for d in torsion if d > 1)))
+    return groups
+
+
+def small_mixed_complex(rng, zero_chance):
+    """A random mixed-sign complex whose boundaries the minor oracle can afford."""
+    while True:
+        K = random_weighted_complex(rng, max_vertices=6, max_facets=4, zero_star_chance=zero_chance)
+        if all(min(m.rows, m.cols) <= 4 for m in boundary_matrices(K).matrices):
+            return K
+
+
+class TestClearing:
+    def test_units_reached_by_euclid_steps_clear_nothing(self):
+        assert [str(g) for g in homology(validate_complex(EUCLID_UNIT.items()))] == [
+            "Z^1", "Z^1", "Z/3", "0"]
+        rows = []
+        assert smith_normal_form(IntMatrix.from_rows([[2, 3]]), unit_rows=rows).factors == (1,)
+        assert rows == []
+
+    def test_leading_unit_pivots_name_their_rows(self):
+        rows = []
+        A = IntMatrix.from_rows([[0, 2, 0], [1, 0, 0], [0, 0, -1]])
+        assert smith_normal_form(A, unit_rows=rows).factors == (1, 1, 2)
+        assert sorted(rows) == [1, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 9), st.floats(min_value=0, max_value=0.5))
+    def test_matches_minor_oracle_on_random_mixed_sign_complexes(self, seed, zero_chance):
+        K = small_mixed_complex(random.Random(seed), zero_chance)
+        assert homology(K) == oracle_homology(K)
+
+    def test_each_dimension_is_reduced_once_without_cleared_columns(self, monkeypatch):
+        homology_module = importlib.import_module("wmorse.homology")
+        real = homology_module.smith_normal_form
+        calls = []
+
+        def smith_normal_form(A, **kwargs):
+            calls.append((A.rows, A.cols, sorted(kwargs)))
+            return real(A, **kwargs)
+
+        monkeypatch.setattr(homology_module, "smith_normal_form", smith_normal_form)
+        K, _ = build_woc("ACGTAC", {"A": 1, "C": 2, "G": 3, "T": 4}, 1)
+        assert [len(K.of_dim(n)) for n in range(5)] == [17, 81, 146, 112, 32]
+        homology(K)
+        # d_5 down to d_0, one call each; without clearing the columns add up to 388
+        assert [rows for rows, _, _ in calls] == [32, 112, 146, 81, 17, 0]
+        assert [cols for _, cols, _ in calls] == [0, 32, 80, 66, 16, 2]
+        assert all(kwargs == ["unit_rows"] for _, _, kwargs in calls)

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -25,6 +26,21 @@ from wmorse.sequence import SubstringPoset, check_letter_weights
 
 DNA_WEIGHTS = {"A": 1, "C": 2, "G": 3, "T": 4}
 ALT_WEIGHTS = {"A": 1, "C": 2, "G": 1, "T": 3}
+
+# the fingerprints of ACGTACGT (4,451 simplices), as the engine without
+# clearing computed them: per dimension, the free rank and the count of
+# each torsion coefficient
+ACGTACGT = {
+    1: [(1, {2: 1})] + [(0, {})] * 6,
+    2: [(1, {2: 2, 12: 1}), (0, {2: 27, 4: 1, 12: 20}), (0, {2: 105, 4: 5, 12: 101}),
+        (0, {2: 163, 4: 15, 12: 166}), (0, {2: 110, 4: 20, 12: 110}), (0, {2: 28, 4: 8, 12: 28}),
+        (0, {})],
+    3: [(1, {2: 1}), (0, {2: 1}), (0, {6: 1})] + [(0, {})] * 4,
+    4: [(1, {2: 2, 12: 1}), (0, {2: 27, 4: 1, 12: 19, 24: 1}),
+        (0, {2: 105, 4: 5, 12: 93, 24: 5, 48: 1, 144: 1, 288: 1}),
+        (0, {2: 163, 4: 15, 12: 158, 24: 4, 48: 1, 144: 2, 288: 1}),
+        (0, {2: 110, 4: 20, 12: 110}), (0, {2: 28, 4: 8, 12: 28}), (0, {})],
+}
 
 short_strings = st.text(alphabet="ab", min_size=0, max_size=6)
 dna_strings = st.text(alphabet="ACGT", min_size=2, max_size=5)
@@ -233,6 +249,14 @@ class TestFingerprints:
             assert all(b % a == 0 for a, b in zip(g.torsion, g.torsion[1:]))
         assert groups[0] == HomologyGroup(1, (6, 12))
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("woc_type", sorted(ACGTACGT))
+    def test_acgtacgt_fingerprints(self, woc_type):
+        K, _ = build_woc("ACGTACGT", DNA_WEIGHTS, woc_type)
+        assert len(K) == 4451
+        want = [HomologyGroup(free, tuple(sorted(Counter(torsion).elements())))
+                for free, torsion in ACGTACGT[woc_type]]
+        assert homology(K) == want
 
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from(["CTC", "xyyy", "abcb", "GATTA"]))
