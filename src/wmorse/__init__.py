@@ -33,8 +33,8 @@ _EXPORTS = {
         "collapse_sequence", "elementary_collapse", "greedy_collapse",
     ),
     "homology": (
-        "ClassOrder", "HomologyGroup", "RemovalReport", "WeightedBoundary", "boundary_matrices",
-        "chain_bases", "elementary_removal", "group_at", "homology", "homology_class_order",
+        "ClassOrder", "HomologyGroup", "RemovalReport", "boundary_matrix", "chain_basis",
+        "elementary_removal", "group_at", "homology", "homology_class_order",
     ),
     "morse": (
         "CellClassification", "CriticalWindow", "MorseCollapse", "MorseFunction", "classify",
@@ -44,7 +44,7 @@ _EXPORTS = {
         "ALPHABETS", "OrderComplex", "SubstringPoset", "WocType", "build_woc", "order_complex",
         "sequence_fingerprint", "substrings",
     ),
-    "snf": ("IntMatrix", "SmithDecomposition", "rank", "smith_normal_form"),
+    "snf": ("IntMatrix", "SmithDecomposition", "smith_normal_form"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)

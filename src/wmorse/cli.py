@@ -7,7 +7,8 @@ package's own consistency check (a bug), 2 for malformed input, 3 when
 an operation's theorem hypothesis fails.
 
 The environment variable WMORSE_MAX_DIM caps the dimension of every
-homology report (useful to keep long-chain inputs tractable).
+homology report (useful to keep long-chain inputs tractable). It is
+read only by calls that print such a report.
 
 Each subcommand imports the layers it runs when it is called, so that
 --version loads no layer and collapse loads neither homology nor Morse.
@@ -156,7 +157,6 @@ def cmd_morse(args) -> int:
 
     K = _load_complex(args)
     f = load_morse_document(args.morse, K)
-    cap = _max_dim_cap()
 
     if args.classify:
         cls = classify(K, f)
@@ -181,6 +181,7 @@ def cmd_morse(args) -> int:
         return 0
 
     if args.collapse is not None:
+        cap = _max_dim_cap()
         a, b = (parse_rational(x) for x in args.collapse)
         cert = morse_collapse(K, f, a, b)
         lines = [f"window: ({a}, {b}]"]

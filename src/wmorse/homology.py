@@ -6,8 +6,10 @@ each codimension-1 face by the weight ratio w(sigma) / w(face); the
 divisibility rule makes every ratio an integer, and a zero-weight face
 forces a zero-weight coface, so the ratio never needs a zero divisor.
 
-Each question builds only the boundaries it reads, as sparse columns,
-and reduces them by the sparse Smith engine of ``snf`` (no transforms).
+boundary_matrix alone assembles boundaries: the sparse columns of the
+n-cells it is given, over the basis of dimension n - 1. Each question
+passes only the cells whose columns a reduction reads. The
+sparse Smith engine of ``snf`` reduces them (no transforms).
 In dimension n the free rank is nullity(d_n) - rank(d_{n+1}) and the
 torsion coefficients are the invariant factors of d_{n+1} that exceed
 1; the boundary below dimension 0 is the zero map. A class order comes
@@ -21,8 +23,14 @@ only, so the pivot columns are boundaries, unit-triangular on the
 named cells; as d_n kills every boundary, each dropped column is an
 integer combination of the kept ones. The column lattice of d_n, and
 with it its rank and invariant factors, is unchanged. A +-1 reached by
-Euclid steps comes after row operations and must not clear. Class
-orders and the removal reduce their full matrices.
+Euclid steps comes after row operations and must not clear. A cleared
+column is never assembled. Class orders and the removal reduce their
+full matrices.
+
+Every assembled column rechecks that each face weight divides the
+cell's, so the recheck covers every column a reduction reads. A
+cleared cell's pairs were checked when the WeightedComplex was built,
+and nothing reads its column.
 
 Removal of a single maximal simplex is the surgery that is not a
 collapse: it can only touch homology in the two dimensions next to the
@@ -81,54 +89,22 @@ class HomologyGroup(_GroupFields):
         return " (+) ".join(parts) if parts else "0"
 
 
-class WeightedBoundary(NamedTuple):
-    """Chain bases and boundary matrices of a weighted complex.
+def chain_basis(K: WeightedComplex, n: int) -> tuple[Simplex, ...]:
+    """The nonzero-weight n-simplices in lexicographic order; () outside 0..dim K."""
+    return tuple(s for s in K.of_dim(n) if K.weight(s) != 0)
 
-    bases[n] lists the nonzero-weight n-simplices in lexicographic
-    order. matrices[n] maps chains in dimension n to dimension n - 1;
-    matrices[0] maps to the zero module and has no rows.
+
+def boundary_matrix(K: WeightedComplex, n: int, cells: Sequence[Simplex] | None = None) -> IntMatrix:
+    """The weighted boundary of the given n-cells, over chain_basis(K, n - 1).
+
+    cells defaults to chain_basis(K, n). Column j is the boundary of
+    cells[j]: face i picks up sign (-1)^i and coefficient w(sigma) / w(face).
     """
-
-    bases: tuple[tuple[Simplex, ...], ...]
-    matrices: tuple[IntMatrix, ...]
-
-    def basis(self, n: int) -> tuple[Simplex, ...]:
-        if 0 <= n < len(self.bases):
-            return self.bases[n]
-        return ()
-
-    def matrix(self, n: int) -> IntMatrix:
-        """Boundary matrix in dimension n, zero-shaped outside range."""
-        if 0 <= n < len(self.matrices):
-            return self.matrices[n]
-        rows = len(self.basis(n - 1))
-        cols = len(self.basis(n))
-        return IntMatrix.zeros(rows, cols)
-
-
-def chain_bases(K: WeightedComplex) -> tuple[tuple[Simplex, ...], ...]:
-    """Nonzero-weight simplices per dimension, lexicographically sorted."""
-    out = []
-    for n in range(K.dimension + 1):
-        out.append(tuple(s for s in K.of_dim(n) if K.weight(s) != 0))
-    return tuple(out)
-
-
-def boundary_matrix(K: WeightedComplex, n: int, bases=None) -> IntMatrix:
-    """The weighted boundary from dimension n to n - 1.
-
-    Column j is the boundary of the j-th basis simplex: face i picks up
-    sign (-1)^i and coefficient w(sigma) / w(face).
-    """
-    if bases is None:
-        bases = chain_bases(K)
-    cols = bases[n] if 0 <= n < len(bases) else ()
-    rows = bases[n - 1] if 1 <= n < len(bases) + 1 else ()
-    if n <= 0 or not cols:
-        return IntMatrix.zeros(len(rows) if n > 0 else 0, len(cols))
-    index = {s: i for i, s in enumerate(rows)}
+    if cells is None:
+        cells = chain_basis(K, n)
+    index = {s: i for i, s in enumerate(chain_basis(K, n - 1))}
     columns = []
-    for sigma in cols:
+    for sigma in cells:
         ws = K.weight(sigma)
         column = {}
         for i, face in enumerate(faces(sigma)):
@@ -138,13 +114,7 @@ def boundary_matrix(K: WeightedComplex, n: int, bases=None) -> IntMatrix:
                                              f"w({list(sigma)})={ws} in a validated complex")
             column[index[face]] = -(ws // wf) if i % 2 else ws // wf
         columns.append(column)
-    return IntMatrix(len(rows), len(cols), columns)
-
-
-def boundary_matrices(K: WeightedComplex) -> WeightedBoundary:
-    bases = chain_bases(K)
-    mats = [boundary_matrix(K, n, bases) for n in range(len(bases))]
-    return WeightedBoundary(bases=bases, matrices=tuple(mats))
+    return IntMatrix(len(index), len(columns), columns)
 
 
 def homology(K: WeightedComplex, max_dim: int | None = None) -> list[HomologyGroup]:
@@ -158,15 +128,14 @@ def homology(K: WeightedComplex, max_dim: int | None = None) -> list[HomologyGro
         top = min(top, max_dim)
     if top < 0:
         return []
-    bases = chain_bases(K)
-    reduced, cleared = [None] * (top + 2), set()
+    reduced, sizes, cleared = [None] * (top + 2), [0] * (top + 2), set()
     for n in range(top + 1, -1, -1):  # top down, clearing as the module notes say
-        d = boundary_matrix(K, n, bases)
-        kept = [c for j, c in enumerate(d.columns) if j not in cleared]
-        unit_rows = []
-        reduced[n] = smith_normal_form(IntMatrix(d.rows, len(kept), kept), unit_rows=unit_rows)
+        cells = chain_basis(K, n)
+        sizes[n], unit_rows = len(cells), []
+        kept = [s for j, s in enumerate(cells) if j not in cleared]
+        reduced[n] = smith_normal_form(boundary_matrix(K, n, kept), unit_rows=unit_rows)
         cleared = set(unit_rows)
-    return [_group(n, len(bases[n]), reduced[n], reduced[n + 1]) for n in range(top + 1)]
+    return [_group(n, sizes[n], reduced[n], reduced[n + 1]) for n in range(top + 1)]
 
 
 def _group(n: int, cells: int, below: SmithDecomposition, above: SmithDecomposition) -> HomologyGroup:
@@ -241,8 +210,7 @@ def homology_class_order(K: WeightedComplex, n: int, z: Sequence[int]) -> ClassO
     transform-free reductions: the boundary d_{n+1} and d_{n+1} with z
     appended as a column.
     """
-    bases = chain_bases(K)
-    below = boundary_matrix(K, n, bases)
+    below = boundary_matrix(K, n)
     z = list(z)
     if len(z) != below.cols:
         raise ValueError(f"chain has {len(z)} coordinates but dimension {n} has {below.cols} basis simplices")
@@ -251,7 +219,7 @@ def homology_class_order(K: WeightedComplex, n: int, z: Sequence[int]) -> ClassO
             raise ValueError(f"chain coordinates must be integers, got {x!r}")
     if any(below.apply(z)):
         raise NotACycle(n)
-    d = boundary_matrix(K, n + 1, bases)
+    d = boundary_matrix(K, n + 1)
     return ClassOrder.of(smith_normal_form(d), smith_normal_form(d.with_column(z)))
 
 
@@ -289,27 +257,22 @@ def elementary_removal(K: WeightedComplex, sigma) -> tuple[WeightedComplex, Remo
 
 def _removal_report(K: WeightedComplex, sigma: Simplex) -> RemovalReport:
     # sigma is a maximal simplex of K with nonzero weight. K minus sigma
-    # shares K's bases below n and its d_n is K's without sigma's column,
-    # so [d_n(K - sigma) | chain] is K's d_n up to column order. When
+    # shares K's bases below n, and its d_n is K's on every other cell;
+    # [d_n(K - sigma) | chain] has the invariant factors of K's d_n. When
     # n = 0, d_0 has no rows: the chain is empty and its class is zero.
     n = len(sigma) - 1
-    bases = chain_bases(K)
-    dK = boundary_matrix(K, n, bases)
-    j = bases[n].index(sigma)
-    chain = dK.column(j)
-    below = boundary_matrix(K, n - 1, bases)
+    d = boundary_matrix(K, n, [s for s in chain_basis(K, n) if s != sigma])
+    chain = boundary_matrix(K, n, (sigma,)).column(0)
+    below = boundary_matrix(K, n - 1)
     if any(below.apply(chain)):
         raise InternalInvariantError(f"the boundary of {list(sigma)} is not a cycle")
-    dL = IntMatrix(dK.rows, dK.cols - 1, dK.columns[:j] + dK.columns[j + 1:])
-    extended = smith_normal_form(dK)
-    order = ClassOrder.of(smith_normal_form(dL), extended)
+    extended = smith_normal_form(d.with_column(chain))
+    order = ClassOrder.of(smith_normal_form(d), extended)
     return RemovalReport(
         sigma=sigma,
         dimension=n,
         boundary_chain=chain,
         class_order=order,
         gains_free_summand=order.is_torsion,
-        quotient_below=(
-            _group(n - 1, len(bases[n - 1]), smith_normal_form(below), extended) if n else None
-        ),
+        quotient_below=_group(n - 1, below.cols, smith_normal_form(below), extended) if n else None,
     )

@@ -162,7 +162,8 @@ def _scan_of(K: WeightedComplex, f: MorseFunction) -> _Scan:
             w_simple.add(s)
     # a cell with wrong neighbours both ways forces a violation at its
     # wrong face or its wrong coface, so f is not Morse on K
-    assert clash is None or violations, f"{list(clash)} has wrong neighbours both ways"
+    if clash is not None and not violations:
+        raise InternalInvariantError(f"{list(clash)} has wrong neighbours both ways")
     violations.sort(key=lambda v: (len(v[0]), v[0], v[1]))
     cls = CellClassification(critical=frozenset(critical), w_simple=frozenset(w_simple), pair=pair)
     return _Scan(K, violations, cls, entry)

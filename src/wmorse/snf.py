@@ -288,11 +288,3 @@ def smith_normal_form(A: IntMatrix, *, unit_rows: list[int] | None = None) -> Sm
             row_index[i].add(j)
     return SmithDecomposition(_divisibility_chain(_diagonalise(cols, row_index, unit_rows)))
 
-
-def rank(A: IntMatrix) -> int:
-    """Rank of A over the integers (equivalently over the rationals)."""
-    return smith_normal_form(A).rank
-
-
-def invariant_factors(A: IntMatrix) -> tuple[int, ...]:
-    return smith_normal_form(A).factors

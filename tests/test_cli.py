@@ -6,8 +6,10 @@ verified values of the underlying library, so these tests pin both the
 numbers and the report format.
 """
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -636,8 +638,8 @@ BROKEN_WINDOW = {
         "import importlib\n"
         "h = importlib.import_module('wmorse.homology')\n"
         "real = h.boundary_matrix\n"
-        "def flipped(K, n, bases=None):\n"
-        "    d = real(K, n, bases)\n"
+        "def flipped(K, n, cells=None):\n"
+        "    d = real(K, n, cells)\n"
         "    if n != 1:\n"
         "        return d\n"
         "    first = {i: -x if i == min(d.columns[0]) else x for i, x in d.columns[0].items()}\n"
@@ -670,6 +672,39 @@ def test_morse_window_checks_survive_python_O(tmp_path, broken):
     assert proc.returncode == 1, proc.stderr
     assert f"InternalInvariantError: {BROKEN_WINDOW[broken][1]}" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_no_assert_in_the_package():
+    # python -O strips asserts, so no printed check may rest on one
+    package = pathlib.Path(wmorse.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize("flags", [
+    ("--classify",),
+    ("--window", "3/2", "2", "--cell", "0,1,2"),
+])
+def test_morse_reports_without_homology_ignore_the_dimension_cap(tmp_path, capsys, monkeypatch, flags):
+    doc, mdoc = disk_docs(tmp_path)
+    unset = run_cli(capsys, "morse", doc, mdoc, *flags)
+    assert unset[0] == 0
+    monkeypatch.setenv("WMORSE_MAX_DIM", "x")
+    assert run_cli(capsys, "morse", doc, mdoc, *flags) == unset
+
+
+def test_morse_collapse_bad_dimension_cap(xyyy_docs, capsys, monkeypatch):
+    cdoc, mdoc, _ = xyyy_docs
+    monkeypatch.setenv("WMORSE_MAX_DIM", "x")
+    code, out, err = run_cli(capsys, "morse", cdoc, mdoc, "--collapse", "2", "5")
+    assert code == 2
+    assert out == ""
+    assert "WMORSE_MAX_DIM must be an integer, got 'x'" in err
 
 
 def test_morse_window_requires_cell(tmp_path, capsys):

@@ -26,15 +26,15 @@ from wmorse import (
     NotACycle,
     SimplicialComplex,
     WeightedComplex,
-    boundary_matrices,
+    boundary_matrix,
     build_woc,
+    chain_basis,
     group_at,
     homology,
     homology_class_order,
     validate_complex,
 )
 from wmorse.generators import random_weighted_complex
-from wmorse.homology import boundary_matrix, chain_bases
 from wmorse.snf import IntMatrix, smith_normal_form
 
 
@@ -71,30 +71,38 @@ class TestHomologyGroup:
 class TestBoundaryMatrices:
     def test_filled_triangle_matrices(self):
         K = filled_triangle()
-        bd = boundary_matrices(K)
-        assert bd.basis(0) == ((0,), (1,), (2,))
-        assert bd.basis(1) == ((0, 1), (0, 2), (1, 2))
-        assert bd.basis(2) == ((0, 1, 2),)
+        assert chain_basis(K, 0) == ((0,), (1,), (2,))
+        assert chain_basis(K, 1) == ((0, 1), (0, 2), (1, 2))
+        assert chain_basis(K, 2) == ((0, 1, 2),)
         # columns scale each face by the weight ratio, signs alternate
-        assert bd.matrix(1).to_rows() == [[-2, -2, 0], [2, 0, -4], [0, 1, 2]]
-        assert bd.matrix(2).column(0) == (2, -2, 1)
+        assert boundary_matrix(K, 1).to_rows() == [[-2, -2, 0], [2, 0, -4], [0, 1, 2]]
+        assert boundary_matrix(K, 2).column(0) == (2, -2, 1)
         # the composite of successive boundaries vanishes
-        assert bd.matrix(1).mul(bd.matrix(2)).is_zero()
+        assert boundary_matrix(K, 1).mul(boundary_matrix(K, 2)).is_zero()
+
+    def test_columns_are_the_given_cells_in_order(self):
+        K = filled_triangle()
+        d = boundary_matrix(K, 1, [(1, 2), (0, 1)])
+        assert (d.rows, d.cols) == (3, 2)
+        assert d.to_rows() == [[0, -2], [-4, 2], [2, 0]]
+        assert boundary_matrix(K, 1, ()).to_rows() == [[], [], []]
 
     def test_dimension_zero_boundary_has_no_rows(self):
-        bd = boundary_matrices(filled_triangle())
-        assert bd.matrix(0).rows == 0
-        assert bd.matrix(0).cols == 3
+        d = boundary_matrix(filled_triangle(), 0)
+        assert d.rows == 0
+        assert d.cols == 3
 
     def test_out_of_range_matrices_are_zero_shaped(self):
-        bd = boundary_matrices(filled_triangle())
-        assert bd.matrix(3).rows == 1
-        assert bd.matrix(3).cols == 0
-        assert bd.basis(7) == ()
+        K = filled_triangle()
+        assert boundary_matrix(K, 3).rows == 1
+        assert boundary_matrix(K, 3).cols == 0
+        assert (boundary_matrix(K, -1).rows, boundary_matrix(K, -1).cols) == (0, 0)
+        assert chain_basis(K, 7) == ()
+        assert chain_basis(K, -1) == ()
 
     def test_zero_weight_simplices_left_out_of_bases(self):
         K = validate_complex([([0], 1), ([1], 1), ([0, 1], 0)])
-        assert chain_bases(K) == (((0,), (1,)), ())
+        assert [chain_basis(K, n) for n in range(2)] == [((0,), (1,)), ()]
         assert homology(K) == [HomologyGroup(2), HomologyGroup(0)]
 
     def test_zero_weight_star(self):
@@ -104,9 +112,8 @@ class TestBoundaryMatrices:
             ([0, 1], 0), ([0, 2], 1), ([1, 2], 1),
             ([0, 1, 2], 0),
         ])
-        bd = boundary_matrices(K)
-        assert bd.basis(1) == ((0, 2), (1, 2))
-        assert bd.basis(2) == ()
+        assert chain_basis(K, 1) == ((0, 2), (1, 2))
+        assert chain_basis(K, 2) == ()
         # what carries chains is a path on three vertices; the group list
         # still runs up to the complex dimension
         assert homology(K) == [HomologyGroup(1), HomologyGroup(0), HomologyGroup(0)]
@@ -116,9 +123,8 @@ class TestBoundaryMatrices:
     def test_boundary_squares_to_zero(self, seed, zero_chance):
         rng = random.Random(seed)
         K = random_weighted_complex(rng, zero_star_chance=zero_chance)
-        bd = boundary_matrices(K)
         for n in range(1, K.dimension + 1):
-            assert bd.matrix(n).mul(bd.matrix(n + 1)).is_zero()
+            assert boundary_matrix(K, n).mul(boundary_matrix(K, n + 1)).is_zero()
 
 
 # classical homology of standard spaces: (space builder, expected groups)
@@ -255,9 +261,8 @@ class TestClassOrder:
     def test_matches_lattice_oracle_on_boundaries(self, seed):
         rng = random.Random(seed)
         K = random_weighted_complex(rng, max_vertices=6, max_facet_dim=3)
-        bd = boundary_matrices(K)
         for n in range(K.dimension):
-            B = bd.matrix(n + 1)
+            B = boundary_matrix(K, n + 1)
             # the minor oracle is exponential in the smaller side: at 6 a
             # draw takes seconds, at 9 close to a minute
             if not 0 < min(B.rows, B.cols) <= 5:
@@ -314,11 +319,10 @@ def _cycle_orders_against_oracle(seed) -> set[str]:
     """
     rng = random.Random(seed)
     K = random_weighted_complex(rng, max_vertices=4, max_facet_dim=2)
-    bd = boundary_matrices(K)
     kinds = set()
     for n in range(K.dimension + 1):
-        below, above = bd.matrix(n), bd.matrix(n + 1)
-        if not bd.basis(n):
+        below, above = boundary_matrix(K, n), boundary_matrix(K, n + 1)
+        if not below.cols:
             continue
         kernel = _integer_kernel(below.to_rows(), below.cols)
         for _ in range(3):
@@ -377,10 +381,9 @@ EUCLID_UNIT = {
 
 def oracle_homology(K):
     """Groups from the minor gcds and rational ranks of every full boundary."""
-    bd = boundary_matrices(K)
     groups = []
     for n in range(K.dimension + 1):
-        below, above = bd.matrix(n), bd.matrix(n + 1)
+        below, above = boundary_matrix(K, n), boundary_matrix(K, n + 1)
         free = (below.cols - rational_rank(below.to_rows(), below.cols)
                 - rational_rank(above.to_rows(), above.cols))
         torsion = minor_gcd_factors(above.to_rows(), above.cols)
@@ -392,7 +395,8 @@ def small_mixed_complex(rng, zero_chance):
     """A random mixed-sign complex whose boundaries the minor oracle can afford."""
     while True:
         K = random_weighted_complex(rng, max_vertices=6, max_facets=4, zero_star_chance=zero_chance)
-        if all(min(m.rows, m.cols) <= 4 for m in boundary_matrices(K).matrices):
+        boundaries = (boundary_matrix(K, n) for n in range(K.dimension + 1))
+        if all(min(d.rows, d.cols) <= 4 for d in boundaries):
             return K
 
 
@@ -418,14 +422,20 @@ class TestClearing:
 
     def test_each_dimension_is_reduced_once_without_cleared_columns(self, monkeypatch):
         homology_module = importlib.import_module("wmorse.homology")
-        real = homology_module.smith_normal_form
-        calls = []
+        real, real_boundary = homology_module.smith_normal_form, homology_module.boundary_matrix
+        calls, assembled = [], []
 
         def smith_normal_form(A, **kwargs):
             calls.append((A.rows, A.cols, sorted(kwargs)))
             return real(A, **kwargs)
 
+        def boundary_matrix(K, n, cells=None):
+            d = real_boundary(K, n, cells)
+            assembled.append(d.cols)
+            return d
+
         monkeypatch.setattr(homology_module, "smith_normal_form", smith_normal_form)
+        monkeypatch.setattr(homology_module, "boundary_matrix", boundary_matrix)
         K, _ = build_woc("ACGTAC", {"A": 1, "C": 2, "G": 3, "T": 4}, 1)
         assert [len(K.of_dim(n)) for n in range(5)] == [17, 81, 146, 112, 32]
         homology(K)
@@ -433,3 +443,5 @@ class TestClearing:
         assert [rows for rows, _, _ in calls] == [32, 112, 146, 81, 17, 0]
         assert [cols for _, cols, _ in calls] == [0, 32, 80, 66, 16, 2]
         assert all(kwargs == ["unit_rows"] for _, _, kwargs in calls)
+        # a cleared column is never assembled: 196 columns in all
+        assert assembled == [0, 32, 80, 66, 16, 2]

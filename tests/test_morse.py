@@ -34,7 +34,7 @@ from wmorse import (
     Verdict,
     WeightedComplex,
     WSimpleFailed,
-    boundary_matrices,
+    boundary_matrix,
     classify,
     critical_window,
     elementary_collapse,
@@ -148,6 +148,16 @@ class TestValidateMorse:
             ((0, 1, 2), 2, ((1, 2), (0, 2), (0, 1))),
             ((1, 2, 3), 2, ((2, 3), (1, 3), (1, 2))),
         ]
+
+    def test_broken_neighbour_lemma_survives_python_O(self, monkeypatch):
+        # with each vertex its own face, vertex 1 has a low coface and a
+        # high face while no cell has two of either
+        morse_module = importlib.import_module("wmorse.morse")
+        real = morse_module.faces
+        monkeypatch.setattr(morse_module, "faces", lambda s: [s] if len(s) == 1 else real(s))
+        K = full_simplex(1)
+        with pytest.raises(InternalInvariantError, match=r"\[1\] has wrong neighbours both ways"):
+            validate_morse(K, {(0,): 0, (1,): 2, (0, 1): 1})
 
     def test_extra_values_are_kept(self):
         K = full_simplex(1)
@@ -601,11 +611,11 @@ class TestWorkDoneOnce:
         real = homology_module.boundary_matrix
         built = []
 
-        def boundary_matrix(K, n, bases=None):
+        def counted(K, n, cells=None):
             built.append(n)
-            return real(K, n, bases)
+            return real(K, n, cells)
 
-        monkeypatch.setattr(homology_module, "boundary_matrix", boundary_matrix)
+        monkeypatch.setattr(homology_module, "boundary_matrix", counted)
         K, f = circle_with_tails()
         assert critical_window(K, f, (1, 2), "1/2", 8).removal.dimension == 1
         assert set(built) == {0, 1}
@@ -615,7 +625,7 @@ class TestWorkDoneOnce:
         elementary_removal(K, (0, 1, 2, 3, 4))
         assert set(built) == {3, 4}
 
-        z = boundary_matrices(K).matrix(2).column(0)
+        z = boundary_matrix(K, 2).column(0)
         built.clear()
         assert homology_class_order(K, 1, z).kind == "zero"
         assert set(built) == {1, 2}

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import class_order_oracle, minor_gcd_factors, rational_rank
 from wmorse.homology import ClassOrder
-from wmorse.snf import IntMatrix, invariant_factors, rank, smith_normal_form
+from wmorse.snf import IntMatrix, smith_normal_form
 
 
 def check_against_oracle(rows, cols):
@@ -41,20 +41,20 @@ class TestSmallMatrices:
     def test_diag_2_3_needs_fixup(self):
         # diag(2, 3) is diagonal but violates divisibility; SNF is diag(1, 6)
         check_against_oracle([[2, 0], [0, 3]], 2)
-        assert invariant_factors(IntMatrix.from_rows([[2, 0], [0, 3]])) == (1, 6)
+        assert smith_normal_form(IntMatrix.from_rows([[2, 0], [0, 3]])).factors == (1, 6)
 
     def test_single_entry(self):
-        assert invariant_factors(IntMatrix.from_rows([[-6]])) == (6,)
+        assert smith_normal_form(IntMatrix.from_rows([[-6]])).factors == (6,)
 
     def test_first_factor_is_gcd_of_entries(self):
         A = IntMatrix.from_rows([[4, 6], [10, 14]])
-        assert invariant_factors(A)[0] == 2
+        assert smith_normal_form(A).factors[0] == 2
 
     @pytest.mark.parametrize("a,b", [(2, 3), (4, 6), (5, 5), (1, 9), (12, 18)])
     def test_two_column_relation_matrix(self, a, b):
         # the column span of this matrix has cokernel Z + Z/gcd(a, b)
         rows = [[-b, 0], [1, -1], [0, a]]
-        assert invariant_factors(IntMatrix.from_rows(rows)) == (1, gcd(a, b))
+        assert smith_normal_form(IntMatrix.from_rows(rows)).factors == (1, gcd(a, b))
         check_against_oracle(rows, 2)
 
     def test_transforms_on_rectangular(self):
@@ -63,7 +63,7 @@ class TestSmallMatrices:
         check_against_oracle([[0, 0, 5]], 3)
 
     def test_rank_helper(self):
-        assert rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
+        assert smith_normal_form(IntMatrix.from_rows([[1, 2], [2, 4]])).rank == 1
 
 
 entry = st.integers(min_value=-9, max_value=9)
@@ -89,23 +89,23 @@ def test_random_matrices_match_oracle(case):
 def test_invariants_under_transpose_and_negation(case):
     rows, cols = case
     A = IntMatrix.from_rows(rows, cols=cols)
-    base = invariant_factors(A)
-    assert invariant_factors(A.transpose()) == base
+    base = smith_normal_form(A).factors
+    assert smith_normal_form(A.transpose()).factors == base
     negated = IntMatrix.from_rows([[-x for x in r] for r in rows], cols=cols)
-    assert invariant_factors(negated) == base
+    assert smith_normal_form(negated).factors == base
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix(), st.randoms(use_true_random=False))
 def test_invariants_under_permutation(case, rng):
     rows, cols = case
-    base = invariant_factors(IntMatrix.from_rows(rows, cols=cols))
+    base = smith_normal_form(IntMatrix.from_rows(rows, cols=cols)).factors
     shuffled = list(rows)
     rng.shuffle(shuffled)
     perm = list(range(cols))
     rng.shuffle(perm)
     shuffled = [[r[j] for j in perm] for r in shuffled]
-    assert invariant_factors(IntMatrix.from_rows(shuffled, cols=cols)) == base
+    assert smith_normal_form(IntMatrix.from_rows(shuffled, cols=cols)).factors == base
 
 
 def test_diag_2_3_factors():
@@ -213,7 +213,7 @@ def scrambled_smith_form(draw):
 def test_scrambled_smith_forms_are_recovered(case):
     # beyond the reach of the minor oracle: the answer is known by construction
     rows, cols, chain = case
-    assert invariant_factors(IntMatrix.from_rows(rows, cols=cols)) == chain
+    assert smith_normal_form(IntMatrix.from_rows(rows, cols=cols)).factors == chain
 
 
 @settings(max_examples=150, deadline=None)

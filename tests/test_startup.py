@@ -104,4 +104,4 @@ def test_package_root_names_resolve_lazily():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) == 65
+    assert int(proc.stdout) == 63
