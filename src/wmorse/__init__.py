@@ -41,8 +41,8 @@ _EXPORTS = {
         "critical_window", "level_subcomplex", "morse_collapse", "validate_morse",
     ),
     "sequence": (
-        "ALPHABETS", "OrderComplex", "SubstringPoset", "WocType", "build_woc", "order_complex",
-        "sequence_fingerprint", "substrings",
+        "ALPHABETS", "OrderComplex", "WocType", "build_woc", "order_complex", "sequence_fingerprint",
+        "substrings",
     ),
     "snf": ("IntMatrix", "SmithDecomposition", "smith_normal_form"),
 }

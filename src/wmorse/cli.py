@@ -306,12 +306,15 @@ def cmd_sequence(args) -> int:
     skeleton = None if cap is None else cap + 1
     lines: list[str] = []
     payload_records = []
+    fingerprints: dict[str, list] = {}  # a record repeated in the file is built once
     for ident, seq in records:
-        unknown = sorted(set(seq) - set(alphabet))
-        if unknown:
-            raise DocumentError(f"symbols {unknown} not in the alphabet")
-        K, names = build_woc(seq, weights, args.woc_type, max_dim=skeleton)
-        groups = homology(K, max_dim=cap)
+        if seq not in fingerprints:
+            unknown = sorted(set(seq) - set(alphabet))
+            if unknown:
+                raise DocumentError(f"symbols {unknown} not in the alphabet")
+            K, names = build_woc(seq, weights, args.woc_type, max_dim=skeleton)
+            fingerprints[seq] = homology(K, max_dim=cap)
+        groups = fingerprints[seq]
         block = _homology_lines(groups) if groups else ["(empty complex)"]
         if ident is not None:
             if lines:

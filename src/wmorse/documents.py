@@ -242,6 +242,8 @@ def parse_weights_spec(spec: str) -> dict[str, int]:
             raise DocumentError(f"bad weight entry {quoted(part)}, expected SYMBOL=INTEGER")
         sym, _, value = part.partition("=")
         sym = sym.strip()
+        if len(sym) != 1:  # sequences are read one character at a time
+            raise DocumentError(f"bad weight entry {quoted(part)}, expected a one-character symbol")
         if sym in out:
             raise DocumentError(f"weight for {quoted(sym)} given twice")
         try:

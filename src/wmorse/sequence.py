@@ -1,8 +1,8 @@
-"""Sequence fingerprints through substring posets.
+"""Sequence fingerprints through substring order complexes.
 
-The distinct proper nonempty contiguous substrings of a string form a
-poset under the contiguous-substring relation. Its order complex has
-one vertex per substring and one simplex per chain; vertices are
+The distinct proper nonempty contiguous substrings of a string, ordered
+by the contiguous-substring relation, form a poset. Its order complex
+has one vertex per substring and one simplex per chain; vertices are
 numbered in lexicographic substring order, with a name table kept on
 the side so reports stay readable.
 
@@ -20,7 +20,9 @@ The fingerprint of a sequence is the weighted homology of this complex.
 from __future__ import annotations
 
 import enum
-from math import lcm, prod
+from functools import reduce
+from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
 from .complexes import SimplicialComplex, WeightedComplex
@@ -35,90 +37,49 @@ ALPHABETS: dict[str, tuple[str, ...]] = {
 }
 
 
-class SubstringPoset:
-    """A finite set of strings ordered by the substring relation.
+def substrings(s: str) -> tuple[str, ...]:
+    """The distinct proper nonempty substrings of s, sorted.
 
-    The relation is t <= u iff t occurs contiguously in u. On a set of
-    distinct strings this is a partial order: comparable distinct
-    elements have different lengths, so antisymmetry is automatic, and
-    a substring of a substring is a substring.
-    """
+    Strings shorter than 2 characters have no proper substrings.
 
-    __slots__ = ("elements",)
-
-    def __init__(self, elements: Iterable[str]):
-        self.elements = tuple(sorted(set(elements)))
-
-    def leq(self, t: str, u: str) -> bool:
-        return t in u
-
-    def less(self, t: str, u: str) -> bool:
-        return t != u and t in u
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, t) -> bool:
-        return t in set(self.elements)
-
-    def __repr__(self) -> str:
-        return f"SubstringPoset({len(self.elements)} elements)"
-
-
-def substrings(s: str) -> SubstringPoset:
-    """The poset of distinct proper nonempty substrings of s.
-
-    Strings shorter than 2 characters have no proper substrings, so the
-    poset is empty for them.
-
-    >>> substrings("CTC").elements
+    >>> substrings("CTC")
     ('C', 'CT', 'T', 'TC')
     """
     found = {s[i:j] for i in range(len(s)) for j in range(i + 1, len(s) + 1)}
     found.discard(s)
-    return SubstringPoset(found)
+    return tuple(sorted(found))
 
 
 class OrderComplex(NamedTuple):
-    """Chains of a poset as a simplicial complex plus the name table."""
+    """Chains of the substring order as a simplicial complex plus the name table."""
 
     complex: SimplicialComplex
     names: tuple[str, ...]
 
-    def name_of(self, vertex: int) -> str:
-        return self.names[vertex]
 
+def order_complex(strings: Iterable[str], max_dim: int | None = None) -> OrderComplex:
+    """All substring chains of the strings, as simplices on lexicographic vertex ids.
 
-def order_complex(poset: SubstringPoset, max_dim: int | None = None) -> OrderComplex:
-    """All chains of the poset, as simplices on lexicographic vertex ids.
-
-    A set of distinct substrings is a chain iff it is pairwise
-    comparable, so chains are exactly the cliques of the comparability
-    graph. With max_dim given, only chains of at most max_dim + 1
-    elements are produced; anything needing deeper simplices (long runs
-    of one letter, say) stays tractable that way.
+    Two distinct strings are comparable when one occurs contiguously in
+    the other. A set of them is a chain iff it is pairwise comparable,
+    so chains are exactly the cliques of the comparability graph. With
+    max_dim given, only chains of at most max_dim + 1 elements are
+    produced; anything needing deeper simplices (long runs of one
+    letter, say) stays tractable that way.
     """
-    names = poset.elements  # already sorted lexicographically
-    n = len(names)
-    comparable = [[poset.less(names[i], names[j]) or poset.less(names[j], names[i])
-                   for j in range(n)] for i in range(n)]
-    cap = None if max_dim is None else max_dim + 1
+    names = tuple(sorted(set(strings)))
+    comparable = [[t in u or u in t for u in names] for t in names]
+    cap = len(names) if max_dim is None else max_dim + 1
     chains: list[tuple[int, ...]] = []
 
     def grow(chain: tuple[int, ...], candidates: list[int]):
         for idx, v in enumerate(candidates):
             ext = chain + (v,)
             chains.append(ext)
-            if cap is not None and len(ext) >= cap:
-                continue
-            rest = [u for u in candidates[idx + 1:] if comparable[v][u]]
-            if rest:
+            if len(ext) < cap and (rest := [u for u in candidates[idx + 1:] if comparable[v][u]]):
                 grow(ext, rest)
 
-    grow((), list(range(n)))
+    grow((), list(range(len(names))))
     return OrderComplex(complex=SimplicialComplex(chains), names=names)
 
 
@@ -144,9 +105,7 @@ class WocType(enum.IntEnum):
         return "lcm" if self in (WocType.TYPE_1, WocType.TYPE_3) else "product"
 
 
-def _aggregate(rule: str, values) -> int:
-    values = list(values)
-    return lcm(*values) if rule == "lcm" else prod(values)
+_RULES = {"lcm": lcm, "product": mul}
 
 
 def check_letter_weights(letter_weights: Mapping[str, int], symbols: Iterable[str]) -> None:
@@ -174,14 +133,14 @@ def build_woc(
     woc_type = WocType(woc_type)
     check_letter_weights(letter_weights, sorted(set(s)))
     oc = order_complex(substrings(s), max_dim=max_dim)
-    string_weight = {
-        name: _aggregate(woc_type.string_rule, (letter_weights[ch] for ch in name))
-        for name in oc.names
-    }
-    weight = {
-        sigma: _aggregate(woc_type.simplex_rule, (string_weight[oc.names[v]] for v in sigma))
-        for sigma in oc.complex.simplices
-    }
+    string_rule, simplex_rule = _RULES[woc_type.string_rule], _RULES[woc_type.simplex_rule]
+    vertex = [reduce(string_rule, [letter_weights[ch] for ch in name]) for name in oc.names]
+    # Both rules are associative with unit 1, so a chain weighs the rule
+    # applied to the weight of its prefix (the chain less its last vertex)
+    # and that vertex's; (dim, lex) order weighs every prefix first.
+    weight = {(): 1}
+    for sigma in oc.complex:
+        weight[sigma] = simplex_rule(weight[sigma[:-1]], vertex[sigma[-1]])
     return WeightedComplex(oc.complex, weight), oc.names
 
 

@@ -68,14 +68,6 @@ class IntMatrix:
                     columns[j][i] = x
         return cls(len(rows), cols, columns)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, ({} for _ in range(cols)))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, ({j: 1} for j in range(n)))
-
     @property
     def entries(self) -> "_Entries":
         """Row-major view of all rows x cols entries, zeros included."""
@@ -84,22 +76,9 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.columns[j].get(i, 0)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return tuple(c.get(i, 0) for c in self.columns)
-
     def column(self, j: int) -> tuple[int, ...]:
         c = self.columns[j]
         return tuple(c.get(i, 0) for i in range(self.rows))
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        out = [{} for _ in range(self.rows)]
-        for j, c in enumerate(self.columns):
-            for i, x in c.items():
-                out[i][j] = x
-        return IntMatrix(self.cols, self.rows, out)
 
     def with_column(self, vector: Sequence[int]) -> "IntMatrix":
         """This matrix with one more column appended."""
@@ -107,18 +86,6 @@ class IntMatrix:
             raise ValueError(f"vector length {len(vector)} does not match {self.rows} rows")
         extra = {i: x for i, x in enumerate(vector) if x}
         return IntMatrix(self.rows, self.cols + 1, self.columns + (extra,))
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for c in other.columns:
-            acc: dict[int, int] = {}
-            for k, y in c.items():
-                for i, x in self.columns[k].items():
-                    acc[i] = acc.get(i, 0) + x * y
-            out.append({i: x for i, x in acc.items() if x})
-        return IntMatrix(self.rows, other.cols, out)
 
     def apply(self, vector: Sequence[int]) -> tuple[int, ...]:
         """Matrix times column vector."""
@@ -130,9 +97,6 @@ class IntMatrix:
                 for i, x in c.items():
                     out[i] += x * y
         return tuple(out)
-
-    def is_zero(self) -> bool:
-        return not any(self.columns)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):

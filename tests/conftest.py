@@ -125,7 +125,30 @@ def class_order_oracle(rows, cols, z):
 
 
 def matrix_rows(A: IntMatrix) -> list[list[int]]:
-    return A.to_rows()
+    """The dense rows of a sparse matrix."""
+    return [[c.get(i, 0) for c in A.columns] for i in range(A.rows)]
+
+
+def transpose(A: IntMatrix) -> IntMatrix:
+    out = [{} for _ in range(A.rows)]
+    for j, c in enumerate(A.columns):
+        for i, x in c.items():
+            out[i][j] = x
+    return IntMatrix(A.cols, A.rows, out)
+
+
+def mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
+    """The product AB, kept sparse so that boundaries of a few hundred cells stay cheap."""
+    if A.cols != B.rows:
+        raise ValueError(f"cannot multiply {A.rows}x{A.cols} by {B.rows}x{B.cols}")
+    out = []
+    for c in B.columns:
+        acc: dict[int, int] = {}
+        for k, y in c.items():
+            for i, x in A.columns[k].items():
+                acc[i] = acc.get(i, 0) + x * y
+        out.append({i: x for i, x in acc.items() if x})
+    return IntMatrix(A.rows, B.cols, out)
 
 
 # --- coface and collapse oracles ---------------------------------------------

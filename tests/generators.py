@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import lcm
 from random import Random
 
-from .complexes import SimplicialComplex, WeightedComplex, closure, faces
+from wmorse.complexes import SimplicialComplex, WeightedComplex, closure, faces
 
 
 def random_weighted_complex(

@@ -44,6 +44,7 @@ from conftest import (
     groups_equal_padded,
     hollow_triangle_w2,
     minor_gcd_factors,
+    mul,
     sphere,
     xyyy_setup,
 )
@@ -248,7 +249,7 @@ def test_criterion_09_structural_invariants():
     for _ in range(100):
         K = random_wsc(rng)
         for n in range(1, K.dimension + 1):
-            product = boundary_matrix(K, n).mul(boundary_matrix(K, n + 1))
+            product = mul(boundary_matrix(K, n), boundary_matrix(K, n + 1))
             assert all(entry == 0 for entry in product.entries)
 
     for weight in (1, 5):

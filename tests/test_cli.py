@@ -871,10 +871,14 @@ def test_sequence_builds_each_record_once(tmp_path, capsys, monkeypatch):
         return real(seq, *args, **kwargs)
 
     monkeypatch.setattr(wmorse.sequence, "build_woc", build)
-    fasta = tmp_path / "two.fa"
-    fasta.write_text(">a\nCTC\n>b\nGTG\n")
-    assert run_cli(capsys, "sequence", str(fasta), "--weights", DNA)[0] == 0
+    fasta = tmp_path / "three.fa"
+    fasta.write_text(">a\nCTC\n>b\nGTG\n>c\nCTC\n")
+    code, out, _ = run_cli(capsys, "sequence", str(fasta), "--weights", DNA)
+    assert code == 0
     assert built == ["CTC", "GTG"]
+    blocks = out.split("\n\n")
+    assert [b.splitlines()[0] for b in blocks] == ["# a CTC", "# b GTG", "# c CTC"]
+    assert blocks[0].splitlines()[1:] == blocks[2].splitlines()[1:]
 
     emitted = tmp_path / "ctc.json"
     built.clear()
@@ -1059,6 +1063,12 @@ REJECTED = {
     "unreadable-fasta": lambda tmp_path: (
         ["sequence", str(tmp_path), "--weights", DNA],
         f"cannot read {tmp_path}: Is a directory"),
+    "weights-empty-symbol": lambda tmp_path: (
+        ["sequence", "ACG", "--weights", "=3,A=1,C=2,G=3,T=4"],
+        "bad weight entry '=3', expected a one-character symbol"),
+    "weights-long-symbol": lambda tmp_path: (
+        ["sequence", "ACG", "--weights", "AC=9,A=1,C=2,G=3,T=4"],
+        "bad weight entry 'AC=9', expected a one-character symbol"),
     "weights-repeated": lambda tmp_path: (
         ["sequence", "ACG", "--weights", "A=1,C=2,G=3,C=5"],
         "weight for 'C' given twice"),

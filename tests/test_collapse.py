@@ -14,6 +14,7 @@ from conftest import (
     reference_greedy_collapse,
     sphere,
 )
+from generators import random_weighted_complex
 from wmorse import (
     CollapseStep,
     HomologyGroup,
@@ -31,7 +32,6 @@ from wmorse import (
     homology,
     validate_complex,
 )
-from wmorse.generators import random_weighted_complex
 
 
 class TestVerdicts:

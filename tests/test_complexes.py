@@ -13,11 +13,11 @@ from wmorse import (
     validate_complex,
 )
 from wmorse.complexes import closure, dim, faces, simplex
-from wmorse.generators import random_weighted_complex
 
 import random
 
 from conftest import reference_proper_cofaces
+from generators import random_weighted_complex
 
 
 class TestSimplexBasics:

@@ -20,6 +20,7 @@ from conftest import (
     xn_setup,
     xyyy_setup,
 )
+from generators import random_weighted_complex
 from wmorse import (
     DocumentError,
     DuplicateSimplex,
@@ -49,7 +50,6 @@ from wmorse import (
 )
 from wmorse.collapse import _Collapser
 from wmorse.documents import load_morse_document
-from wmorse.generators import random_weighted_complex
 from wmorse.morse import MorseFunction, to_fraction
 
 

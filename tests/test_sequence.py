@@ -3,7 +3,7 @@
 import itertools
 import time
 from collections import Counter
-from math import gcd
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +22,7 @@ from wmorse import (
     sequence_fingerprint,
     substrings,
 )
-from wmorse.sequence import SubstringPoset, check_letter_weights
+from wmorse.sequence import check_letter_weights
 
 DNA_WEIGHTS = {"A": 1, "C": 2, "G": 3, "T": 4}
 ALT_WEIGHTS = {"A": 1, "C": 2, "G": 1, "T": 3}
@@ -48,9 +48,9 @@ dna_strings = st.text(alphabet="ACGT", min_size=2, max_size=5)
 
 class TestSubstrings:
     def test_proper_substrings_are_collected_once(self):
-        assert substrings("CTC").elements == ("C", "CT", "T", "TC")
-        assert substrings("AAA").elements == ("A", "AA")
-        assert substrings("AB").elements == ("A", "B")
+        assert substrings("CTC") == ("C", "CT", "T", "TC")
+        assert substrings("AAA") == ("A", "AA")
+        assert substrings("AB") == ("A", "B")
 
     def test_short_strings_have_empty_posets(self):
         assert len(substrings("")) == 0
@@ -66,29 +66,29 @@ class TestSubstrings:
     @settings(max_examples=100, deadline=None)
     @given(short_strings)
     def test_partial_order_axioms(self, s):
-        poset = substrings(s)
-        elements = poset.elements
-        for t in elements:
-            assert poset.leq(t, t)
-            assert not poset.less(t, t)
+        # order_complex reads "t in u" as the order on distinct sorted strings
+        elements = substrings(s)
+        assert list(elements) == sorted(set(elements))
         for t, u in itertools.permutations(elements, 2):
-            if poset.leq(t, u) and poset.leq(u, t):
+            if t in u and u in t:
                 raise AssertionError("antisymmetry violated")
-            assert poset.less(t, u) == poset.leq(t, u)
         for t, u, v in itertools.product(elements, repeat=3):
-            if poset.leq(t, u) and poset.leq(u, v):
-                assert poset.leq(t, v)
+            if t in u and u in v:
+                assert t in v
 
 
 class TestOrderComplex:
     def test_square_for_alternating_codon(self):
         oc = order_complex(substrings("CTC"))
         assert oc.names == ("C", "CT", "T", "TC")
-        assert oc.name_of(3) == "TC"
         assert set(oc.complex.simplices) == {
             (0,), (1,), (2,), (3,),
             (0, 1), (0, 3), (1, 2), (2, 3),
         }
+
+    def test_takes_any_iterable_of_strings(self):
+        oc = order_complex(iter(["TC", "C", "T", "CT", "C"]))
+        assert oc == order_complex(substrings("CTC"))
 
     def test_strip_complex_for_xyyy(self):
         oc = order_complex(substrings("xyyy"))
@@ -113,15 +113,14 @@ class TestOrderComplex:
     @settings(max_examples=60, deadline=None)
     @given(short_strings)
     def test_simplices_are_exactly_the_chains(self, s):
-        poset = substrings(s)
-        oc = order_complex(poset)
+        oc = order_complex(substrings(s))
         names = oc.names
         for sigma in oc.complex.simplices:
             for i, j in itertools.combinations(sigma, 2):
-                assert poset.less(names[i], names[j]) or poset.less(names[j], names[i])
+                assert names[i] in names[j] or names[j] in names[i]
         # every comparable pair shows up as an edge
         for i, j in itertools.combinations(range(len(names)), 2):
-            if poset.less(names[i], names[j]) or poset.less(names[j], names[i]):
+            if names[i] in names[j] or names[j] in names[i]:
                 assert (i, j) in oc.complex.simplices
 
 
@@ -181,6 +180,17 @@ class TestWeighting:
         # a WeightedComplex back means the weighting is coherent
         K, names = build_woc(s, DNA_WEIGHTS, t)
         assert len(names) == len(substrings(s))
+
+    @settings(max_examples=50, deadline=None)
+    @given(dna_strings, st.sampled_from([1, 2, 3, 4]))
+    def test_weights_follow_the_definition(self, s, t):
+        # every simplex weighs its rule over all its vertices at once
+        rule = {"lcm": lambda ws: lcm(*ws), "product": prod}
+        woc = WocType(t)
+        K, names = build_woc(s, ALT_WEIGHTS, woc)
+        vertex = [rule[woc.string_rule]([ALT_WEIGHTS[ch] for ch in name]) for name in names]
+        for sigma, w in K.items():
+            assert w == rule[woc.simplex_rule]([vertex[v] for v in sigma])
 
 
 class TestFingerprints:
@@ -264,7 +274,7 @@ class TestFingerprints:
         # keeping the full string in the poset gives a cone, which the
         # homology of the constant-weight order complex must reflect
         every = {s[i:j] for i in range(len(s)) for j in range(i + 1, len(s) + 1)}
-        oc = order_complex(SubstringPoset(every))
+        oc = order_complex(every)
         K = WeightedComplex(oc.complex, {t: 1 for t in oc.complex.simplices})
         groups = homology(K)
         assert groups[0] == HomologyGroup(1)
