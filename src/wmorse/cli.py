@@ -4,7 +4,8 @@ Four subcommands: homology, collapse, morse, sequence. All output is
 deterministic; the --json flags emit machine-readable equivalents of
 the text reports. Exit codes: 0 on success, 1 when a result fails the
 package's own consistency check (a bug), 2 for malformed input, 3 when
-an operation's theorem hypothesis fails.
+an operation's theorem hypothesis fails, and from the console entry
+point 141 (128 + SIGPIPE) when the reader of stdout is gone.
 
 The environment variable WMORSE_MAX_DIM caps the dimension of every
 homology report (useful to keep long-chain inputs tractable). It is
@@ -439,7 +440,20 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    if sys.stdout is None:  # started with stdout closed: print writes nothing
+        sys.exit(main())
+    sys.stdout.reconfigure(encoding="utf-8")  # as the documents read, whatever the locale
+    try:
+        try:
+            code = main()
+        finally:  # also when argparse exits for --version or --help
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; the interpreter flushes stdout once more on
+        # exit, so point it at devnull first ("Note on SIGPIPE", signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)  # 128 + SIGPIPE, as a shell reports a writer it killed
+    sys.exit(code)
 
 
 if __name__ == "__main__":

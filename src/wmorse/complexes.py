@@ -81,13 +81,6 @@ def closure(generators: Iterable[Simplex]) -> set[Simplex]:
     return out
 
 
-def _divides(a: int, b: int) -> bool:
-    # 0 | b holds only for b == 0; sign is irrelevant otherwise
-    if a == 0:
-        return b == 0
-    return b % a == 0
-
-
 class SimplicialComplex:
     """A finite face-closed set of simplices.
 
@@ -208,6 +201,9 @@ class SimplicialComplex:
 class WeightedComplex(SimplicialComplex):
     """A simplicial complex together with a divisibility-compatible weight.
 
+    Construction walks the simplices once, in (dim, lex) order: each
+    needs an integer weight that every codimension-1 face's weight
+    divides, and the first defect in that order is the one reported.
     It shares the simplex set, the dimension table and the cofacet
     index (if already built) of the complex it is given, without
     copying them. Instances are immutable after construction; all
@@ -219,19 +215,19 @@ class WeightedComplex(SimplicialComplex):
 
     def __init__(self, complex: SimplicialComplex, weight: Mapping[Simplex, int]):
         w: dict[Simplex, int] = {}
-        for s in complex.simplices:
+        # faces come first in (dim, lex) order; codim-1 checks suffice, as
+        # divisibility is transitive, also when 0 divides only 0
+        for s in complex:
             if s not in weight:
                 raise ValueError(f"no weight for simplex {list(s)}")
             value = weight[s]
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"weight of {list(s)} must be an integer, got {value!r}")
-            w[s] = value
-        # codim-1 checks suffice: divisibility is transitive, also under
-        # the 0 | x iff x == 0 convention
-        for s in complex.simplices:
             for f in faces(s):
-                if not _divides(w[f], w[s]):
-                    raise DivisibilityViolation(f, s, w[f], w[s])
+                wf = w[f]
+                if value % wf if wf else value:
+                    raise DivisibilityViolation(f, s, wf, value)
+            w[s] = value
         self._simplices = complex._simplices
         self._by_dim = complex._by_dim
         self._cofacets = complex._cofacets

@@ -81,6 +81,22 @@ def _refuse_long(x, where: str) -> None:
         raise DocumentError(f"{where}: integer literal with more than {MAX_DIGITS} digits")
 
 
+def _read_bytes(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as e:
+        raise DocumentError(f"cannot read {path}: {e.strerror or e}")
+
+
+def _utf8(data: bytes, path: str) -> str:
+    # every input file is UTF-8 (RFC 8259 requires it of JSON), whatever the locale
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise DocumentError(f"{path}: not UTF-8 text: byte {e.start} is {data[e.start:e.start + 1]!r}")
+
+
 def _load_json(path: str, exact_decimals: bool = False):
     def unique_keys(pairs):
         obj = dict(pairs)
@@ -91,17 +107,13 @@ def _load_json(path: str, exact_decimals: bool = False):
         return obj
 
     kwargs = {"parse_float": str} if exact_decimals else {}
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise DocumentError(f"cannot read {path}: {e.strerror or e}")
+    data = _read_bytes(path)
     # the callback is a Python call per integer, so it is passed only
     # when the text holds a run of digits too long for int()
-    if _LONG_DIGIT_RUN in text.encode().translate(_DIGITS_TO_ZERO):
+    if _LONG_DIGIT_RUN in data.translate(_DIGITS_TO_ZERO):
         kwargs["parse_int"] = _parse_int
     try:
-        return json.loads(text, object_pairs_hook=unique_keys, **kwargs)
+        return json.loads(_utf8(data, path), object_pairs_hook=unique_keys, **kwargs)
     except json.JSONDecodeError as e:
         raise DocumentError(f"{path}: {e.msg}", line=e.lineno)
 
@@ -183,7 +195,7 @@ def complex_document(K: WeightedComplex, names: Mapping[int, str] | None = None)
 
 
 def dump_complex_document(path: str, K: WeightedComplex, names=None) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(complex_document(K, names), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -257,11 +269,7 @@ def parse_weights_spec(spec: str) -> dict[str, int]:
 
 def read_fasta(path: str) -> list[tuple[str, str]]:
     """Parse FASTA records as (identifier, sequence) pairs."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise DocumentError(f"cannot read {path}: {e.strerror or e}")
+    text = _utf8(_read_bytes(path), path)
     records = []
     ident = None
     parts: list[str] = []

@@ -151,6 +151,71 @@ def mul(A: IntMatrix, B: IntMatrix) -> IntMatrix:
     return IntMatrix(A.rows, B.cols, out)
 
 
+# --- F_p level oracle ----------------------------------------------------------
+
+def rank_mod_p(columns, p: int) -> int:
+    """Rank over F_p of sparse integer columns, by plain elimination on the lowest row."""
+    pivots = {}  # lowest row -> reduced column with that lowest row
+    for column in columns:
+        col = {i: x % p for i, x in column.items() if x % p}
+        while col:
+            low = max(col)
+            if low not in pivots:
+                pivots[low] = col
+                break
+            other = pivots[low]
+            f = col[low] * pow(other[low], -1, p) % p
+            for i, y in other.items():
+                x = (col.get(i, 0) - f * y) % p
+                if x:
+                    col[i] = x
+                else:
+                    del col[i]
+    return len(pivots)
+
+
+def p_valuation(w: int, p: int) -> int:
+    k = 0
+    while w % p == 0:
+        w //= p
+        k += 1
+    return k
+
+
+def level_dims(K, p: int) -> list[int]:
+    """sum over k of dim H_n(F_k, F_{k-1}; F_p), for n = 0 .. dim K.
+
+    F_k holds the nonzero-weight cells whose weight p divides at most k
+    times; faces divide cofaces, so each F_k is a subcomplex. Over F_p
+    the coefficient w(sigma) / w(face) vanishes unless both sit at the
+    same level, and rescaling every cell by the p-unit part of its
+    weight (and its sign) makes it +-1 there. So the mod-p boundary is
+    the direct sum of the relative boundaries of (F_k, F_{k-1}), with
+    plain simplicial signs. Reads weights and faces only: no boundary
+    builder, no Smith engine.
+    """
+    top = K.dimension
+    cells = [[s for s in K.of_dim(n) if K.weight(s)] for n in range(top + 2)]
+    level = {s: p_valuation(abs(K.weight(s)), p) for group in cells for s in group}
+    ranks = [0] * (top + 2)
+    for n in range(1, top + 1):
+        row = {s: i for i, s in enumerate(cells[n - 1])}
+        columns = [{row[f]: (-1) ** i for i, f in enumerate(faces(s)) if level[f] == level[s]}
+                   for s in cells[n]]
+        ranks[n] = rank_mod_p(columns, p)
+    return [len(cells[n]) - ranks[n] - ranks[n + 1] for n in range(top + 1)]
+
+
+def level_dims_from_groups(groups, p: int) -> list[int]:
+    """beta_n + t_n(p) + t_{n-1}(p), where t_n(p) counts the factors of H_n that p divides.
+
+    By universal coefficients this is dim H_n(C; F_p), which level_dims
+    computes from the complex directly.
+    """
+    t = [sum(1 for d in g.torsion if d % p == 0) for g in groups]
+    return [g.free_rank + t[n] + (t[n - 1] if n else 0) for n, g in enumerate(groups)]
+
+
 # --- coface and collapse oracles ---------------------------------------------
 
 def reference_proper_cofaces(members) -> dict:

@@ -1172,3 +1172,63 @@ def test_repeated_runs_are_identical(xyyy_docs, tmp_path, capsys):
         for _ in range(2)
     }
     assert len(runs) == 1
+
+
+# --- the console entry point, run as a child process ---------------------------
+
+ENTRY = "from wmorse.cli import entrypoint; entrypoint()"
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+def run_entrypoint(*argv, stdout=subprocess.PIPE, entry=ENTRY, **env):
+    src = os.path.dirname(os.path.dirname(wmorse.__file__))
+    return subprocess.run([sys.executable, "-c", entry, *argv], stdout=stdout, stderr=subprocess.PIPE,
+                          env=dict(os.environ, PYTHONPATH=src, **env), timeout=60)
+
+
+@pytest.mark.parametrize("unbuffered, argv", [
+    ("1", ["sequence", "ACGTACG", "--weights", DNA, "--woc-type", "2"]),
+    ("", ["sequence", "ACGTACG", "--weights", DNA, "--woc-type", "2"]),
+    ("", ["--version"]),
+], ids=["unbuffered", "buffered", "buffered-version"])
+def test_closed_stdout_exits_141_with_nothing_on_stderr(unbuffered, argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = run_entrypoint(*argv, stdout=write_end, PYTHONUNBUFFERED=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_no_stdout_at_start_still_runs():
+    # started with descriptor 1 closed, the interpreter sets sys.stdout to None
+    proc = run_entrypoint("sequence", "CTC", "--weights", DNA, entry="import sys; sys.stdout = None; " + ENTRY)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_ascii_locale_reads_and_writes_utf8(tmp_path):
+    doc = tmp_path / "named.json"
+    doc.write_bytes(b'{"simplices": [{"vertices": [0], "weight": 1}], "vertex_names": {"0": "\xc3\xa9"}}')
+    proc = run_entrypoint("homology", str(doc), **ASCII_LOCALE)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"H0 = Z^1\n", b"")
+
+    fasta = tmp_path / "reads.fa"
+    fasta.write_bytes(b">r\xc3\xa9 first\nCTC\n")
+    proc = run_entrypoint("sequence", str(fasta), "--weights", DNA, "--woc-type", "2", **ASCII_LOCALE)
+    assert proc.stderr == b""
+    assert proc.stdout == "# ré CTC\nH0 = Z^1 (+) Z/2 (+) Z/2 (+) Z/4\nH1 = Z^1\n".encode()
+
+
+@pytest.mark.parametrize("name, data", [
+    ("named.json", b'{"simplices": [{"vertices": [0], "weight": 1}], "vertex_names": {"0": "\xe9"}}'),
+    ("reads.fa", b">r\xe9\nCTC\n"),
+], ids=["json", "fasta"])
+def test_bytes_that_are_not_utf8_are_refused_by_path(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    argv = ["homology", str(path)] if name.endswith(".json") else ["sequence", str(path), "--weights", DNA]
+    proc = run_entrypoint(*argv, **ASCII_LOCALE)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().startswith(f"error: DocumentError: {path}: not UTF-8 text: byte ")

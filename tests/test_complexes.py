@@ -127,6 +127,19 @@ class TestWeightedComplex:
         assert info.value.face == (0,)
         assert info.value.coface == (0, 1)
 
+    def test_first_defect_in_dim_lex_order_is_reported(self):
+        # one walk weighs every face before its cofaces: the edge [0, 1]
+        # breaks divisibility before the triangle's missing weight is met,
+        # and [0, 1] comes before [1, 2] among the broken edges
+        sims = closure([(0, 1, 2)])
+        weight = {(0,): 2, (1,): 3, (2,): 1, (0, 1): 3, (0, 2): 2, (1, 2): 2}
+        with pytest.raises(DivisibilityViolation) as info:
+            WeightedComplex(SimplicialComplex(sims), weight)
+        assert (info.value.face, info.value.coface) == ((0,), (0, 1))
+        weight[(0, 1)] = weight[(1, 2)] = 6
+        with pytest.raises(ValueError, match=r"no weight for simplex \[0, 1, 2\]"):
+            WeightedComplex(SimplicialComplex(sims), weight)
+
     def test_zero_weight_coface_of_nonzero_face_allowed(self):
         # any weight divides zero, so a zero-weight top cell is fine
         K = validate_complex([([0], 2), ([1], 1), ([0, 1], 0)])

@@ -1,6 +1,7 @@
 """Weighted boundary matrices, homology groups, and class orders."""
 
 import importlib
+import itertools
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -15,6 +16,8 @@ from conftest import (
     full_simplex,
     groups_equal_padded,
     hollow_triangle_w2,
+    level_dims,
+    level_dims_from_groups,
     matrix_rows,
     minor_gcd_factors,
     mul,
@@ -416,6 +419,14 @@ class TestClearing:
         assert smith_normal_form(A, unit_rows=rows).factors == (1, 1, 2)
         assert sorted(rows) == [1, 2]
 
+    def test_no_row_is_named_after_the_first_non_unit_pivot(self):
+        # the pivot 2 turns the second column into (0, -1) by a column
+        # operation; that unit is taken after a non-unit and names nothing
+        rows = []
+        A = IntMatrix.from_rows([[2, 4], [2, 3]])
+        assert smith_normal_form(A, unit_rows=rows).factors == (1, 2)
+        assert rows == []
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 9), st.floats(min_value=0, max_value=0.5))
     def test_matches_minor_oracle_on_random_mixed_sign_complexes(self, seed, zero_chance):
@@ -447,3 +458,39 @@ class TestClearing:
         assert all(kwargs == ["unit_rows"] for _, _, kwargs in calls)
         # a cleared column is never assembled: 196 columns in all
         assert assembled == [0, 32, 80, 66, 16, 2]
+
+
+DNA_WEIGHTS = {"A": 1, "C": 2, "G": 3, "T": 4}
+PRIMES = (2, 3, 5)  # 5 divides no DNA weight, so there it pins the free ranks
+
+
+def assert_levels_match(K):
+    groups = homology(K)
+    for p in PRIMES:
+        assert level_dims(K, p) == level_dims_from_groups(groups, p), p
+
+
+def seeded_sequences():
+    rng = random.Random(20191)
+    return [("".join(rng.choice("ACGT") for _ in range(n)), woc_type)
+            for n in range(5, 9) for _ in range(2) for woc_type in range(1, 5)]
+
+
+class TestLevelOracle:
+    """homology() against the F_p level oracle, at sizes the minor oracle cannot reach."""
+
+    @pytest.mark.parametrize("woc_type", [1, 2, 3, 4])
+    def test_every_dna_sequence_up_to_length_4(self, woc_type):
+        for n in range(1, 5):
+            for letters in itertools.product("ACGT", repeat=n):
+                assert_levels_match(build_woc("".join(letters), DNA_WEIGHTS, woc_type)[0])
+
+    @pytest.mark.parametrize("s, woc_type", seeded_sequences())
+    def test_seeded_sequences_of_length_5_to_8(self, s, woc_type):
+        assert_levels_match(build_woc(s, DNA_WEIGHTS, woc_type)[0])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_mixed_sign_complexes_with_zero_stars(self, seed):
+        rng = random.Random(seed)
+        K = random_weighted_complex(rng, max_vertices=9, max_facets=6, max_facet_dim=4, zero_star_chance=0.5)
+        assert_levels_match(K)

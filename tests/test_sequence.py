@@ -22,7 +22,8 @@ from wmorse import (
     sequence_fingerprint,
     substrings,
 )
-from wmorse.sequence import check_letter_weights
+from wmorse.cli import main
+from wmorse.sequence import MAX_SIMPLICES, _count_chains, check_letter_weights
 
 DNA_WEIGHTS = {"A": 1, "C": 2, "G": 3, "T": 4}
 ALT_WEIGHTS = {"A": 1, "C": 2, "G": 1, "T": 3}
@@ -122,6 +123,49 @@ class TestOrderComplex:
         for i, j in itertools.combinations(range(len(names)), 2):
             if names[i] in names[j] or names[j] in names[i]:
                 assert (i, j) in oc.complex.simplices
+
+
+class TestChainBudget:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.text(alphabet="abc", max_size=6), max_size=12),
+           st.none() | st.integers(min_value=0, max_value=5))
+    def test_counted_chains_are_the_listed_simplices(self, strings, max_dim):
+        oc = order_complex(strings, max_dim=max_dim)
+        cap = len(oc.names) if max_dim is None else max_dim + 1
+        assert _count_chains(oc.names, cap)[1] == len(oc.complex)
+
+    def test_one_letter_runs_are_refused_before_listing(self):
+        with pytest.raises(ValueError, match=rf"at least 262,143 simplices, over the budget of {MAX_SIMPLICES:,}"):
+            order_complex(substrings("A" * 30))
+        # 2 ** 29 - 1 chains in all, and counting stops past the budget at
+        # 2 ** 18 - 1; but only 29 + C(29, 2) of at most two names
+        assert len(order_complex(substrings("A" * 30), max_dim=1).complex) == 29 + 406
+
+    @pytest.mark.parametrize("s, count", [("ACGTACGTAC", 50_950), ("ACGTACGTACG", 172_365)])
+    def test_budget_admits_the_measured_fingerprints(self, s, count):
+        names = substrings(s)
+        assert _count_chains(names, len(names))[1] == count <= MAX_SIMPLICES
+
+    def test_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr("wmorse.sequence.MAX_SIMPLICES", 15)
+        assert len(order_complex(substrings("xxxxx")).complex) == 15
+        with pytest.raises(ValueError, match="at least 31 simplices, over the budget of 15"):
+            order_complex(substrings("xxxxxx"))
+
+    def test_empty_string_is_inside_every_name(self):
+        oc = order_complex(["", "a", "ab"])
+        assert oc.names == ("", "a", "ab") and len(oc.complex) == 7
+        assert _count_chains(oc.names, 3)[1] == 7
+
+    def test_command_line_exits_2_without_building_a_complex(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a complex was built past the budget")
+
+        monkeypatch.delenv("WMORSE_MAX_DIM", raising=False)
+        monkeypatch.setattr("wmorse.sequence.SimplicialComplex", refuse)
+        assert main(["sequence", "A" * 30, "--weights", "A=1,C=2,G=3,T=4", "--woc-type", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: the substring order complex has at least 262,143 simplices, over the budget of {MAX_SIMPLICES:,}\n"
 
 
 class TestWeighting:
