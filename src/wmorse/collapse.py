@@ -151,16 +151,16 @@ def collapse_sequence(K: WeightedComplex, sigmas) -> tuple[
     Verdicts are judged in the complex the step is applied to. The whole
     sequence carries a guarantee exactly when every verdict does. A
     step that is not a free face of the complex at that point raises
-    NotFreeFace carrying its 0-based step_index.
+    NotFreeFace carrying its 0-based step_index, which its message
+    names as "(entry i of the steps)".
     """
     state = _Collapser(K)
     applied = []
     for i, sigma in enumerate(sigmas):
         try:
             step = state.collapse(sigma)
-        except NotFreeFace as e:
-            e.step_index = i
-            raise
+        except NotFreeFace:
+            raise NotFreeFace(sigma, step_index=i) from None
         applied.append((step, check_preservation(K, step)))
     return K.restrict(state.simplices), applied
 

@@ -90,9 +90,11 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _utf8(data: bytes, path: str) -> str:
-    # every input file is UTF-8 (RFC 8259 requires it of JSON), whatever the locale
+    # every input file is UTF-8 (RFC 8259 requires it of JSON), whatever the
+    # locale; one leading byte-order mark is dropped after decoding, so byte
+    # offsets still count from the start of the file
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise DocumentError(f"{path}: not UTF-8 text: byte {e.start} is {data[e.start:e.start + 1]!r}")
 
@@ -195,9 +197,12 @@ def complex_document(K: WeightedComplex, names: Mapping[int, str] | None = None)
 
 
 def dump_complex_document(path: str, K: WeightedComplex, names=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(complex_document(K, names), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(complex_document(K, names), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise DocumentError(f"cannot write {path}: {e.strerror or e}")
 
 
 def load_steps_document(path: str) -> list[Simplex]:

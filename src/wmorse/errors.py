@@ -125,7 +125,7 @@ class NotFreeFace(HypothesisError):
     def __init__(self, simplex, step_index=None):
         self.simplex = tuple(simplex)
         self.step_index = step_index
-        at = "" if step_index is None else f" (step {step_index})"
+        at = "" if step_index is None else f" (entry {step_index} of the steps)"
         super().__init__(f"{list(self.simplex)} is not a free face{at}")
 
 

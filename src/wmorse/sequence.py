@@ -4,7 +4,9 @@ The distinct proper nonempty contiguous substrings of a string, ordered
 by the contiguous-substring relation, form a poset. Its order complex
 has one vertex per substring and one simplex per chain; vertices are
 numbered in lexicographic substring order, with a name table kept on
-the side so reports stay readable.
+the side so reports stay readable. The chains are listed in one walk
+over the substrings, shortest first, that counts each substring's
+chains against MAX_SIMPLICES before it lists them.
 
 Weights come from per-letter positive integers. A substring's weight is
 either the lcm or the product of its letter weights, and a simplex's
@@ -66,65 +68,38 @@ class OrderComplex(NamedTuple):
 MAX_SIMPLICES = 200_000
 
 
-def _count_chains(names: tuple[str, ...], cap: int) -> tuple[list[list[int]], int]:
-    """The names inside each name, and the number of chains of at most cap names.
-
-    A chain topped by u is u alone or a chain topped by some t inside u,
-    with u added: c_1(u) = 1 and c_k(u) = sum of c_{k-1}(t). Names are
-    visited shortest first, so each t is counted before any u holding
-    it. Past MAX_SIMPLICES the count stops, so it is then a lower bound.
-    """
-    below: list[list[int]] = [[] for _ in names]
-    by_size: list[list[int]] = [[] for _ in names]  # [c_1(u), c_2(u), ...]
-    total = 0
-    order = sorted(range(len(names)), key=lambda i: len(names[i]))
-    for seen, v in enumerate(order):
-        u = names[v]
-        # a name as long as u is inside it only if it is u
-        below[v] = [t for t in order[:seen] if names[t] in u]
-        counts = [1] + [0] * (min(cap, len(below[v]) + 1) - 1)  # u and names below it
-        for t in below[v]:
-            for k, c in enumerate(by_size[t][:len(counts) - 1], 1):
-                counts[k] += c
-        by_size[v] = counts
-        total += sum(counts)
-        if total > MAX_SIMPLICES:
-            break
-    return below, total
-
-
 def order_complex(strings: Iterable[str], max_dim: int | None = None) -> OrderComplex:
     """All substring chains of the strings, as simplices on lexicographic vertex ids.
 
     Two distinct strings are comparable when one occurs contiguously in
-    the other. A set of them is a chain iff it is pairwise comparable,
-    so chains are exactly the cliques of the comparability graph. With
+    the other, and a chain is a set of pairwise comparable strings. With
     max_dim given, only chains of at most max_dim + 1 elements are
     produced; anything needing deeper simplices (long runs of one
-    letter, say) stays tractable that way. The chains are counted
-    before any is listed, and more than MAX_SIMPLICES of them raise
-    ValueError.
+    letter, say) stays tractable that way.
+
+    The names are visited shortest first. A chain topped by u is u alone
+    or a chain topped by some name inside u, with u added, so u's chains
+    come from the chains already listed for the names inside it. Each
+    name's chains are counted before they are listed, and once the count
+    passes MAX_SIMPLICES a ValueError names it.
     """
     names = tuple(sorted(set(strings)))
     cap = len(names) if max_dim is None else max_dim + 1
-    below, count = _count_chains(names, cap)
-    if count > MAX_SIMPLICES:
-        raise ValueError(f"the substring order complex has at least {count:,} simplices, "
-                         f"over the budget of {MAX_SIMPLICES:,}")
-    comparable = [set(b) for b in below]
-    for u, b in enumerate(below):
-        for t in b:
-            comparable[t].add(u)
     chains: list[tuple[int, ...]] = []
-
-    def grow(chain: tuple[int, ...], candidates: list[int]):
-        for idx, v in enumerate(candidates):
-            ext = chain + (v,)
-            chains.append(ext)
-            if len(ext) < cap and (rest := [u for u in candidates[idx + 1:] if u in comparable[v]]):
-                grow(ext, rest)
-
-    grow((), list(range(len(names))))
+    # each name's chains of fewer than cap names, the ones a longer name extends
+    extendable: list[list[tuple[int, ...]]] = [[] for _ in names]
+    order = sorted(range(len(names)), key=lambda i: len(names[i]))
+    for seen, v in enumerate(order):
+        u = names[v]
+        # a name as long as u is inside it only if it is u
+        below = [c for t in order[:seen] if names[t] in u for c in extendable[t]]
+        count = len(chains) + 1 + len(below)
+        if count > MAX_SIMPLICES:
+            raise ValueError(f"the substring order complex has at least {count:,} simplices, "
+                             f"over the budget of {MAX_SIMPLICES:,}")
+        topped = [(v,)] + [tuple(sorted(c + (v,))) for c in below]
+        chains += topped
+        extendable[v] = [c for c in topped if len(c) < cap]
     return OrderComplex(complex=SimplicialComplex(chains), names=names)
 
 

@@ -261,6 +261,16 @@ def test_collapse_non_free_face_exits_3(triangle_doc, tmp_path, capsys):
     assert err.startswith("error: NotFreeFace")
 
 
+def test_collapse_names_the_step_that_is_not_free(tmp_path, capsys):
+    edge = write_raw(tmp_path / "edge.json", {"simplices": [
+        {"vertices": [0], "weight": 1}, {"vertices": [1], "weight": 1}, {"vertices": [0, 1], "weight": 1}]})
+    # the first [0] removes the edge with it, so the second finds no coface
+    steps = write_raw(tmp_path / "steps.json", [[0], [0]])
+    code, out, err = run_cli(capsys, "collapse", edge, "--steps", steps)
+    assert (code, out) == (3, "")
+    assert err == "error: NotFreeFace: [0] is not a free face (entry 1 of the steps)\n"
+
+
 def test_collapse_steps_must_be_an_array(triangle_doc, tmp_path, capsys):
     steps = write_raw(tmp_path / "steps.json", {"steps": []})
     code, _, err = run_cli(capsys, "collapse", triangle_doc, "--steps", steps)
@@ -1075,6 +1085,12 @@ REJECTED = {
     "emit-one-letter": lambda tmp_path: (
         ["sequence", "A", "--weights", DNA, "--emit-complex", str(tmp_path / "out.json")],
         "nothing to emit: the substring complex is empty"),
+    "emit-to-directory": lambda tmp_path: (
+        ["sequence", "CTC", "--weights", DNA, "--emit-complex", str(tmp_path)],
+        f"cannot write {tmp_path}: Is a directory"),
+    "emit-under-missing-directory": lambda tmp_path: (
+        ["sequence", "CTC", "--weights", DNA, "--emit-complex", str(tmp_path / "missing" / "out.json")],
+        f"cannot write {tmp_path / 'missing' / 'out.json'}: No such file or directory"),
 }
 
 
@@ -1232,3 +1248,26 @@ def test_bytes_that_are_not_utf8_are_refused_by_path(tmp_path, name, data):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.decode().startswith(f"error: DocumentError: {path}: not UTF-8 text: byte ")
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+def test_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    doc = tmp_path / "edge.json"
+    doc.write_bytes(BOM + b'{"simplices": [{"vertices": [0], "weight": 1}]}\n')
+    assert run_cli(capsys, "homology", str(doc)) == (0, "H0 = Z^1\n", "")
+
+    fasta = tmp_path / "reads.fa"
+    fasta.write_bytes(BOM + b">r1\nCTC\n")
+    code, out, err = run_cli(capsys, "sequence", str(fasta), "--weights", DNA, "--woc-type", "2")
+    assert (code, err) == (0, "")
+    assert out == "# r1 CTC\nH0 = Z^1 (+) Z/2 (+) Z/2 (+) Z/4\nH1 = Z^1\n"
+
+
+def test_bytes_after_a_byte_order_mark_are_counted_from_the_start(tmp_path, capsys):
+    fasta = tmp_path / "reads.fa"
+    fasta.write_bytes(BOM + b">r\xe9\nCTC\n")
+    code, out, err = run_cli(capsys, "sequence", str(fasta), "--weights", DNA)
+    assert (code, out) == (2, "")
+    assert err == f"error: DocumentError: {fasta}: not UTF-8 text: byte 5 is b'\\xe9'\n"
