@@ -6,26 +6,53 @@ each codimension-1 face by the weight ratio w(sigma) / w(face); the
 divisibility rule makes every ratio an integer, and a zero-weight face
 forces a zero-weight coface, so the ratio never needs a zero divisor.
 
-boundary_matrix alone assembles boundaries: the sparse columns of the
-n-cells it is given, over the basis of dimension n - 1. Each question
-passes only the cells whose columns a reduction reads. The
-sparse Smith engine of ``snf`` reduces them (no transforms).
 In dimension n the free rank is nullity(d_n) - rank(d_{n+1}) and the
 torsion coefficients are the invariant factors of d_{n+1} that exceed
-1; the boundary below dimension 0 is the zero map. A class order comes
-from the factors of d_{n+1} with and without the cycle as a column.
+1; the boundary below dimension 0 is the zero map.
 
-homology() reduces from the top down and clears: each unit pivot (a
-face and coface of equal weight) that d_{n+1} takes before its first
-pivot that is not +-1 names an n-cell, and d_n is reduced without
-those cells' columns. Until then the engine has used column operations
-only, so the pivot columns are boundaries, unit-triangular on the
-named cells; as d_n kills every boundary, each dropped column is an
-integer combination of the kept ones. The column lattice of d_n, and
-with it its rank and invariant factors, is unchanged. A +-1 reached by
-Euclid steps comes after row operations and must not clear. A cleared
-column is never assembled. Class orders and the removal reduce their
-full matrices.
+homology() first tries a certified reduction of the plain boundary.
+With D = diag(w) on the nonzero-weight cells, the weighted boundary is
+D^-1 d D, where d is the ordinary boundary with entries +-1 (Dawson,
+Cahiers Top. Geom. Diff. 31, 1990); the signs of the weights are units
+and drop out. The distinct |w| are refined by gcds into a coprime base
+(nothing is factored), and a_b(sigma) is the exponent of the base
+element b in |w(sigma)|. For each b, every dimension's cells are
+ordered by (a_b, lex) and d_{top+1} .. d_1 are reduced column by
+column, left to right, top dimension first; a row paired in d_{n+1}
+names a column of d_n that is cleared (Chen and Kerber, EuroCG 2011).
+The certificate is that every pivot's lowest entry is +-1, checked on
+each pivot at run time. Then the column operations (an earlier column
+into a later one) and the row operations that isolate each pivot (its
+row, a later one, into earlier rows) stay integral after conjugation
+by diag(b^a_b), so over the integers localised at b the weighted
+boundary is equivalent to the pairs (low, tau), each carrying
+b^(a_b(tau) - a_b(low)): the graded-module picture of Zomorodian and
+Carlsson (DCG 33, 2005) over Z. A pair of equal weight carries 1; it
+is one of the paper's w-simple pairs. Primes that divide no weight
+carry no torsion, the first reduction's pairs give the ranks, and the
+powers of each b, sorted, multiply position-wise into the invariant
+factors. When every weight is +-1 one reduction runs, and there is no
+torsion. Face indices are computed once per cell, only for columns a
+reduction reads, and shared by the reductions.
+
+homology() takes the Smith path when a low is not +-1 (the projective
+plane, or a cone over it ordered so that the plane comes first) or
+the base has more than MAX_BASE elements. There boundary_matrix
+assembles the sparse columns of the n-cells it is given, over the
+basis of dimension n - 1, and the sparse Smith engine of ``snf``
+reduces them (no transforms), from the top down with clearing: each
+unit pivot (a face and coface of equal weight) that d_{n+1} takes
+before its first pivot that is not +-1 names an n-cell, and d_n is
+reduced without those cells' columns. Until then the engine has used
+column operations only, so the pivot columns are boundaries,
+unit-triangular on the named cells; as d_n kills every boundary, each
+dropped column is an integer combination of the kept ones. The column
+lattice of d_n, and with it its rank and invariant factors, is
+unchanged. A +-1 reached by Euclid steps comes after row operations
+and must not clear. A cleared column is never assembled. Class orders
+and the removal always take Smith, on their full matrices: a class
+order comes from the factors of d_{n+1} with and without the cycle as
+a column. ``snf`` is loaded only when Smith runs.
 
 Divisibility is checked once, on every face pair, when the
 WeightedComplex is built; its weights never change after that, so
@@ -39,12 +66,15 @@ of the removed boundary's class.
 
 from __future__ import annotations
 
-from math import prod
-from typing import NamedTuple, Sequence
+from itertools import combinations, compress, cycle, zip_longest
+from math import gcd, prod
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .complexes import Simplex, WeightedComplex, faces
 from .errors import InternalInvariantError, NotACycle, NotMaximal, ZeroWeight
-from .snf import IntMatrix, SmithDecomposition, smith_normal_form
+
+if TYPE_CHECKING:
+    from .snf import IntMatrix, SmithDecomposition
 
 
 class _GroupFields(NamedTuple):
@@ -90,7 +120,8 @@ class HomologyGroup(_GroupFields):
 
 def chain_basis(K: WeightedComplex, n: int) -> tuple[Simplex, ...]:
     """The nonzero-weight n-simplices in lexicographic order; () outside 0..dim K."""
-    return tuple(s for s in K.of_dim(n) if K.weight(s) != 0)
+    cells = K.of_dim(n)
+    return tuple(compress(cells, map(K.weight, cells)))
 
 
 def boundary_matrix(K: WeightedComplex, n: int, cells: Sequence[Simplex] | None = None) -> IntMatrix:
@@ -100,6 +131,8 @@ def boundary_matrix(K: WeightedComplex, n: int, cells: Sequence[Simplex] | None 
     Column j is the boundary of cells[j]: face i picks up sign (-1)^i
     and coefficient w(sigma) / w(face).
     """
+    from .snf import IntMatrix
+
     if cells is None:
         cells = chain_basis(K, n)
     index = {s: i for i, s in enumerate(chain_basis(K, n - 1))}
@@ -118,13 +151,23 @@ def homology(K: WeightedComplex, max_dim: int | None = None) -> list[HomologyGro
     """Weighted homology groups in dimensions 0 through dim K.
 
     Above the top dimension every group vanishes, so the list stops
-    there (or at max_dim, when given and smaller).
+    there (or at max_dim, when given and smaller). The groups come from
+    the certified reduction when every low it meets is +-1, and from
+    the Smith path otherwise, as the module notes say.
     """
     top = K.dimension
     if max_dim is not None:
         top = min(top, max_dim)
     if top < 0:
         return []
+    groups = _certified_homology(K, top)
+    return _smith_homology(K, top) if groups is None else groups
+
+
+def _smith_homology(K: WeightedComplex, top: int) -> list[HomologyGroup]:
+    """H_0 .. H_top by Smith reduction of d_{top+1} .. d_0, top down with clearing."""
+    from .snf import smith_normal_form
+
     reduced, sizes, cleared = [None] * (top + 2), [0] * (top + 2), set()
     for n in range(top + 1, -1, -1):  # top down, clearing as the module notes say
         cells = chain_basis(K, n)
@@ -133,6 +176,147 @@ def homology(K: WeightedComplex, max_dim: int | None = None) -> list[HomologyGro
         reduced[n] = smith_normal_form(boundary_matrix(K, n, kept), unit_rows=unit_rows)
         cleared = set(unit_rows)
     return [_group(n, sizes[n], reduced[n], reduced[n + 1]) for n in range(top + 1)]
+
+
+# The most coprime base elements the certified path reduces for, one
+# reduction each; above it homology() takes Smith. On a 7,925-cell random
+# 2-complex whose vertex weights are drawn from k primes (lcm or product
+# weights up), the certified path took 0.57 s at k = 16 and 2.3 s at
+# k = 64, Smith 0.25-1.15 s and 0.6-1.5 s (Python 3.11.7). The DNA
+# weights 1, 2, 3, 4 have a base of two.
+MAX_BASE = 16
+
+
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1 of which every value > 0 is a product of powers.
+
+    gcd refinement: a value is first divided by every power of a base
+    element b it holds; if it still shares a factor g with b, it
+    replaces b by g, b / g and value / g. The product of everything in
+    play falls with each split, so the loop ends; nothing is factored.
+    """
+    base: list[int] = []
+    for x in values:
+        todo = [x]
+        while todo:
+            x = todo.pop()
+            for i, b in enumerate(base):
+                g = gcd(x, b)
+                if g == b:
+                    x //= b ** _exponent(x, b)
+                    g = gcd(x, b)
+                if g > 1:
+                    del base[i]
+                    todo += [y for y in (g, b // g, x // g) if y > 1]
+                    break
+            else:
+                if x > 1:
+                    base.append(x)
+    return base
+
+
+def _exponent(w: int, b: int) -> int:
+    """The largest e with b ** e dividing w > 0, by repeated squaring of b."""
+    squares = []
+    while w % b == 0:
+        w //= b
+        squares.append(b)
+        b *= b
+    e = (1 << len(squares)) - 1
+    for i in range(len(squares) - 1, -1, -1):
+        if w % squares[i] == 0:
+            w //= squares[i]
+            e += 1 << i
+    return e
+
+
+def _certified_homology(K: WeightedComplex, top: int) -> list[HomologyGroup] | None:
+    """H_0 .. H_top from the plain boundary; None when a low is not +-1 or the base is too large.
+
+    One reduction per element b of the coprime base of the weights (one
+    in all when every weight is +-1), as the module notes say. The pairs
+    of the first give the ranks; each pair (low, tau) of d_{n+1} puts
+    b ** (a_b(tau) - a_b(low)) into the torsion of H_n.
+    """
+    cells = [chain_basis(K, n) for n in range(top + 2)]
+    weights = [list(map(abs, map(K.weight, c))) for c in cells]
+    distinct = set().union(*weights)
+    base = _coprime_base(distinct)
+    if len(base) > MAX_BASE:
+        return None
+    faces_read = [[None] * len(c) for c in cells]  # face indices, shared by the reductions
+    ranks, powers = None, [[] for _ in range(top + 1)]
+    for b in base or [None]:
+        table = {w: 0 if b is None else _exponent(w, b) for w in distinct}
+        exponents = [[table[w] for w in ws] for ws in weights]
+        pairs = _reduce(cells, faces_read, exponents)
+        if pairs is None:
+            return None
+        if ranks is None:
+            ranks = [len(p) for p in pairs]
+        for n in range(top + 1):
+            below, above = exponents[n], exponents[n + 1]
+            gaps = sorted((above[t] - below[i] for i, t in pairs[n + 1]), reverse=True)
+            powers[n].append([b ** e for e in gaps if e])
+    groups = []
+    for n in range(top + 1):
+        factors = [prod(q) for q in zip_longest(*powers[n], fillvalue=1)]  # position-wise
+        groups.append(HomologyGroup(len(cells[n]) - ranks[n] - ranks[n + 1], tuple(reversed(factors))))
+    return groups
+
+
+def _reduce(cells, faces_read, exponents) -> list[list[tuple[int, int]]] | None:
+    """Pairs (row, column) of d_0 .. d_{top+1}, in lex indices; None at a low that is not +-1.
+
+    Each dimension's cells are ordered by (exponent, lex), a row by the
+    key exponent * rows + lex. Columns are reduced left to right, from
+    d_{top+1} down, and a row paired in d_{n+1} is a column that d_n
+    clears. A column whose low no earlier column holds is a pivot as it
+    stands, with its +-1 boundary coefficient there; it becomes a dict
+    only if a later column needs it. faces_read[n][j] holds the lex
+    indices of the faces of cells[n][j] once some reduction has read it.
+    """
+    pairs: list[list[tuple[int, int]]] = [[] for _ in cells]
+    cleared: set[int] = set()
+    for n in range(len(cells) - 1, 0, -1):
+        size = len(cells[n - 1])
+        key = [e * size + i for i, e in enumerate(exponents[n - 1])]
+        index, known, pivots, row = None, faces_read[n], {}, key.__getitem__
+        for t in sorted(range(len(cells[n])), key=exponents[n].__getitem__):
+            if t in cleared:
+                continue
+            f = known[t]
+            if f is None:
+                if index is None:
+                    index = {s: j for j, s in enumerate(cells[n - 1])}
+                # faces in lex order, deletion order reversed: the column's
+                # sign flips, and no low or pair changes
+                f = known[t] = list(map(index.__getitem__, combinations(cells[n][t], n)))
+            low = max(map(row, f))
+            if low not in pivots:
+                pivots[low] = f
+                pairs[n].append((low % size, t))
+                continue
+            col = dict(zip(map(row, f), cycle((1, -1))))
+            while col:
+                low = max(col)
+                other = pivots.get(low)
+                if other is None:
+                    if col[low] not in (1, -1):
+                        return None
+                    pivots[low] = col
+                    pairs[n].append((low % size, t))
+                    break
+                if type(other) is list:
+                    other = pivots[low] = dict(zip(map(row, other), cycle((1, -1))))
+                c = col[low] * other[low]
+                for r, x in other.items():
+                    if y := col.get(r, 0) - c * x:
+                        col[r] = y
+                    else:
+                        del col[r]
+        cleared = {i for i, _ in pairs[n]}
+    return pairs
 
 
 def _group(n: int, cells: int, below: SmithDecomposition, above: SmithDecomposition) -> HomologyGroup:
@@ -207,6 +391,8 @@ def homology_class_order(K: WeightedComplex, n: int, z: Sequence[int]) -> ClassO
     transform-free reductions: the boundary d_{n+1} and d_{n+1} with z
     appended as a column.
     """
+    from .snf import smith_normal_form
+
     below = boundary_matrix(K, n)
     z = list(z)
     if len(z) != below.cols:
@@ -257,6 +443,8 @@ def _removal_report(K: WeightedComplex, sigma: Simplex) -> RemovalReport:
     # shares K's bases below n, and its d_n is K's on every other cell;
     # [d_n(K - sigma) | chain] has the invariant factors of K's d_n. When
     # n = 0, d_0 has no rows: the chain is empty and its class is zero.
+    from .snf import smith_normal_form
+
     n = len(sigma) - 1
     d = boundary_matrix(K, n, [s for s in chain_basis(K, n) if s != sigma])
     chain = boundary_matrix(K, n, (sigma,)).column(0)

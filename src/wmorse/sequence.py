@@ -60,11 +60,12 @@ class OrderComplex(NamedTuple):
 
 
 # The most simplices order_complex lists: the largest measured complex,
-# ACGTACGTACG with 172,365, and some room. Its homology took 4.5 s and
-# 99 MB (type 3) to 194 s and 456 MB (type 2) on Python 3.11.7;
-# ACGTACGTAC has 50,950 and ACGTACGTACGT 583,109. A * n has
-# 2 ** (n - 1) - 1, so A * 19 is refused. Unchecked, A * 30 would try
-# about 5 * 10 ** 8 simplices and exhaust memory.
+# ACGTACGTACG with 172,365, and some room. `wmorse sequence` on it took
+# 5.4 s and 99 MB (type 1) to 6.4 s and 112 MB (type 4) end to end on
+# Python 3.11.7, about half of it building the complex. ACGTACGTAC has
+# 50,950 and ACGTACGTACGT 583,109. A * n has 2 ** (n - 1) - 1, so A * 19
+# is refused. Unchecked, A * 30 would try about 5 * 10 ** 8 simplices
+# and exhaust memory.
 MAX_SIMPLICES = 200_000
 
 

@@ -630,6 +630,15 @@ class TestWorkDoneOnce:
         assert homology_class_order(K, 1, z).kind == "zero"
         assert set(built) == {1, 2}
 
+        # the certified path assembles no boundary matrix, and of the cells
+        # it lists or weighs none lies above dimension max_dim + 1
+        read = []
+        real_of_dim, real_weight = SimplicialComplex.of_dim, WeightedComplex.weight
+        monkeypatch.setattr(SimplicialComplex, "of_dim",
+                            lambda self, n: read.append(n) or real_of_dim(self, n))
+        monkeypatch.setattr(WeightedComplex, "weight",
+                            lambda self, s: read.append(len(s) - 1) or real_weight(self, s))
         built.clear()
         assert len(homology(K, max_dim=1)) == 2
-        assert max(built) <= 2
+        assert built == []
+        assert max(read) == 2

@@ -56,9 +56,9 @@ CALLS = {
     "version": (["--version"], ["cli"], [f"wmorse.{m}" for m in MODULES]),
     "collapse-greedy": (["collapse", "{doc}", "--auto-greedy"], ["collapse"],
                         ["wmorse.homology", "wmorse.snf", "wmorse.morse", "wmorse.sequence"]),
-    "homology": (["homology", "{doc}"], ["homology"], ["wmorse.collapse", "wmorse.morse"]),
+    "homology": (["homology", "{doc}"], ["homology"], ["wmorse.collapse", "wmorse.morse", "wmorse.snf"]),
     "sequence": (["sequence", "CTC", "--weights", "A=1,C=2,G=3,T=4", "--woc-type", "2"],
-                 ["sequence"], ["wmorse.collapse", "wmorse.morse"]),
+                 ["sequence"], ["wmorse.collapse", "wmorse.morse", "wmorse.snf"]),
     "morse-classify": (["morse", "{doc}", "{mdoc}", "--classify"], ["morse"], ["wmorse.sequence"]),
     "morse-window": (["morse", "{doc}", "{mdoc}", "--window", "3/2", "2", "--cell", "0,1,2"],
                      ["morse"], ["wmorse.sequence"]),
