@@ -48,17 +48,23 @@ def _homology_lines(groups) -> list[str]:
 
 
 def _homology_json(groups) -> list[dict]:
-    return [
-        {"dim": n, "free_rank": g.free_rank, "torsion": list(g.torsion)}
-        for n, g in enumerate(groups)
-    ]
+    return [{"dim": n, **g._asdict()} for n, g in enumerate(groups)]
 
 
 def _emit(args, text_lines: list[str], payload: dict) -> None:
     if args.json:
         import json
 
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # torsion can pass the int-to-text digit limit; every input has been
+        # read by now, so the limit is lifted only while the report is written
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
     else:
         for line in text_lines:
             print(line)
@@ -263,12 +269,7 @@ def cmd_morse(args) -> int:
             "class_order": rep.class_order.kind,
             "k": rep.class_order.k,
             "gains_free_summand": rep.gains_free_summand,
-            "quotient_below": None
-            if rep.quotient_below is None
-            else {
-                "free_rank": rep.quotient_below.free_rank,
-                "torsion": list(rep.quotient_below.torsion),
-            },
+            "quotient_below": None if rep.quotient_below is None else rep.quotient_below._asdict(),
         }
     _emit(args, lines, payload)
     return 0

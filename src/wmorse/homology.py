@@ -35,9 +35,10 @@ factors. When every weight is +-1 one reduction runs, and there is no
 torsion. Face indices are computed once per cell, only for columns a
 reduction reads, and shared by the reductions.
 
-homology() takes the Smith path when a low is not +-1 (the projective
-plane, or a cone over it ordered so that the plane comes first) or
-the base has more than MAX_BASE elements. There boundary_matrix
+homology() takes the Smith path only when a low is not +-1 (the
+projective plane, or a cone over it ordered so that the plane comes
+first), however large the base: Smith's coefficients grow with the
+weights, and the plain boundary's do not. There boundary_matrix
 assembles the sparse columns of the n-cells it is given, over the
 basis of dimension n - 1, and the sparse Smith engine of ``snf``
 reduces them (no transforms), from the top down with clearing: each
@@ -77,6 +78,15 @@ if TYPE_CHECKING:
     from .snf import IntMatrix, SmithDecomposition
 
 
+def _decimal(n: int) -> str:
+    """n >= 0 in decimal, in pieces that str() converts: its digit limit is never under 640."""
+    if n.bit_length() <= 1993:  # n < 2 ** 1993 < 10 ** 600
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    head, tail = divmod(n, 10 ** k)
+    return _decimal(head) + _decimal(tail).zfill(k)
+
+
 class _GroupFields(NamedTuple):
     free_rank: int
     torsion: tuple[int, ...] = ()
@@ -114,7 +124,7 @@ class HomologyGroup(_GroupFields):
         parts = []
         if self.free_rank:
             parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{d}" for d in self.torsion)
+        parts.extend(f"Z/{_decimal(d)}" for d in self.torsion)
         return " (+) ".join(parts) if parts else "0"
 
 
@@ -178,15 +188,6 @@ def _smith_homology(K: WeightedComplex, top: int) -> list[HomologyGroup]:
     return [_group(n, sizes[n], reduced[n], reduced[n + 1]) for n in range(top + 1)]
 
 
-# The most coprime base elements the certified path reduces for, one
-# reduction each; above it homology() takes Smith. On a 7,925-cell random
-# 2-complex whose vertex weights are drawn from k primes (lcm or product
-# weights up), the certified path took 0.57 s at k = 16 and 2.3 s at
-# k = 64, Smith 0.25-1.15 s and 0.6-1.5 s (Python 3.11.7). The DNA
-# weights 1, 2, 3, 4 have a base of two.
-MAX_BASE = 16
-
-
 def _coprime_base(values) -> list[int]:
     """Pairwise coprime integers > 1 of which every value > 0 is a product of powers.
 
@@ -231,7 +232,7 @@ def _exponent(w: int, b: int) -> int:
 
 
 def _certified_homology(K: WeightedComplex, top: int) -> list[HomologyGroup] | None:
-    """H_0 .. H_top from the plain boundary; None when a low is not +-1 or the base is too large.
+    """H_0 .. H_top from the plain boundary; None when a low is not +-1.
 
     One reduction per element b of the coprime base of the weights (one
     in all when every weight is +-1), as the module notes say. The pairs
@@ -241,12 +242,9 @@ def _certified_homology(K: WeightedComplex, top: int) -> list[HomologyGroup] | N
     cells = [chain_basis(K, n) for n in range(top + 2)]
     weights = [list(map(abs, map(K.weight, c))) for c in cells]
     distinct = set().union(*weights)
-    base = _coprime_base(distinct)
-    if len(base) > MAX_BASE:
-        return None
     faces_read = [[None] * len(c) for c in cells]  # face indices, shared by the reductions
     ranks, powers = None, [[] for _ in range(top + 1)]
-    for b in base or [None]:
+    for b in _coprime_base(distinct) or [None]:
         table = {w: 0 if b is None else _exponent(w, b) for w in distinct}
         exponents = [[table[w] for w in ws] for ws in weights]
         pairs = _reduce(cells, faces_read, exponents)
@@ -379,7 +377,7 @@ class ClassOrder(NamedTuple):
 
     def __str__(self) -> str:
         if self.kind == "torsion":
-            return f"torsion(k={self.k})"
+            return f"torsion(k={_decimal(self.k)})"
         return self.kind
 
 

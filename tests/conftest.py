@@ -9,7 +9,9 @@ small matrices, which is exactly what makes them trustworthy checks.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -22,6 +24,17 @@ from wmorse import (
 )
 from wmorse.complexes import closure, faces
 from wmorse.snf import IntMatrix
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift the interpreter's int-to-text digit limit, to write expected values in full."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # --- matrix oracles ---------------------------------------------------------

@@ -28,6 +28,7 @@ from wmorse.errors import DocumentError
 from conftest import (
     filled_triangle,
     hollow_triangle_w2,
+    unlimited_int_digits,
     weighted_disk,
     xyyy_setup,
 )
@@ -949,6 +950,43 @@ def test_sequence_respects_dimension_cap(capsys, monkeypatch):
     )
     assert code == 0
     assert out == "H0 = Z^1 (+) Z/2 (+) Z/2 (+) Z/4\n"
+
+
+# 3,000 digits: each weight is within the interpreter's digit limit, and
+# products of coprime ones in the torsion are not
+NINES = 10 ** 3000 - 1
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+@pytest.mark.parametrize("command", ["sequence", "homology"])
+def test_torsion_past_the_digit_limit_is_printed_in_full(tmp_path, capsys, command, flags):
+    if command == "sequence":
+        argv = ["sequence", "CTCC", "--weights", f"A=1,C={NINES},G=3,T={NINES}", "--woc-type", "4"]
+        expected = wmorse.homology(wmorse.build_woc("CTCC", {"A": 1, "C": NINES, "G": 3, "T": NINES}, 4)[0])
+    else:
+        # two edges of coprime weights on unit vertices: H0 = Z (+) Z/(w(01) w(12))
+        doc = {"simplices": [{"vertices": [v], "weight": 1} for v in range(3)]
+               + [{"vertices": [0, 1], "weight": NINES}, {"vertices": [1, 2], "weight": NINES + 1}]}
+        argv = ["homology", write_raw(tmp_path / "edges.json", doc)]
+        expected = [wmorse.HomologyGroup(1, (NINES * (NINES + 1),)), wmorse.HomologyGroup(0)]
+    assert max(max(g.torsion, default=0) for g in expected) > 10 ** 4300
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, *argv, *flags)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # lifted only while the report is written
+    with unlimited_int_digits():
+        if flags:
+            assert json.loads(out)["homology"] == [
+                {"dim": n, "free_rank": g.free_rank, "torsion": list(g.torsion)} for n, g in enumerate(expected)
+            ]
+        else:
+            assert out == "".join(f"H{n} = {g}\n" for n, g in enumerate(expected))
+
+
+def test_sequence_refuses_a_letter_weight_past_the_digit_limit(capsys):
+    code, out, err = run_cli(capsys, "sequence", "CTC", "--weights", "A=1,C=" + "9" * 4301 + ",G=3,T=4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: DocumentError: bad weight for 'C': ")
 
 
 def test_sequence_fasta_errors(tmp_path, capsys):

@@ -24,6 +24,7 @@ from conftest import (
     mul,
     rational_rank,
     sphere,
+    unlimited_int_digits,
     weighted_disk,
 )
 from generators import random_weighted_complex
@@ -56,6 +57,13 @@ class TestHomologyGroup:
         assert str(HomologyGroup(0, (2, 4))) == "Z/2 (+) Z/4"
         assert str(HomologyGroup(2)) == "Z^2"
         assert str(HomologyGroup(0)) == "0"
+
+    def test_str_writes_coefficients_past_the_digit_limit(self):
+        groups = [HomologyGroup(1, (HUGE,)), HomologyGroup(0, (10 ** 600, 10 ** 4400, 10 ** 4400 * (HUGE - 7)))]
+        texts = [str(g) for g in groups]
+        with unlimited_int_digits():
+            assert texts == ["Z^1 (+) Z/" + str(HUGE), " (+) ".join("Z/" + str(d) for d in groups[1].torsion)]
+        assert str(ClassOrder.torsion(HUGE)) == f"torsion(k={texts[0][10:]})"
 
     def test_trivial(self):
         assert HomologyGroup.trivial().is_trivial
@@ -542,6 +550,11 @@ def mixed_base_complex(seed, generators=GENERATORS):
     return reweighted(K, rng, generators)
 
 
+# six letter weights whose coprime base has 17 elements
+SIX_LETTER_WEIGHTS = {"A": 151588013830, "B": 6022953885, "C": 52171688569,
+                      "D": 1204461778591, "E": 3127, "F": 1}
+
+
 # the six-vertex real projective plane, and the cone over it from vertex 6
 RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
        (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
@@ -620,3 +633,35 @@ class TestCertifiedPath:
         # under unit weights the lex order certifies the same cone
         assert HOMOLOGY._certified_homology(weighted_closure(cone, lambda s: 1), 3) == [
             HomologyGroup(1), HomologyGroup(0), HomologyGroup(0), HomologyGroup(0)]
+
+    @pytest.mark.parametrize("s, woc_type", [("ABCDEF", t) for t in (1, 2, 3, 4)] + [("ABCDEFA", 1), ("ABCDEFA", 3)])
+    def test_a_base_of_seventeen_elements_is_certified(self, s, woc_type):
+        K = build_woc(s, SIX_LETTER_WEIGHTS, woc_type)[0]
+        assert len(HOMOLOGY._coprime_base({abs(K.weight(c)) for c in K} - {0})) == 17
+        certified, smith = both_paths(K)
+        assert certified == smith
+
+    @pytest.mark.parametrize("woc_type", [2, 4])
+    def test_only_a_non_unit_low_sends_a_large_base_to_smith(self, monkeypatch, woc_type):
+        # Smith runs for tens of seconds to minutes on these; the certified path takes a fraction of one
+        def smith_normal_form(*args, **kwargs):
+            raise AssertionError("the Smith path ran")
+
+        monkeypatch.setattr(importlib.import_module("wmorse.snf"), "smith_normal_form", smith_normal_form)
+        K = build_woc("ABCDEFA", SIX_LETTER_WEIGHTS, woc_type)[0]
+        assert len(HOMOLOGY._coprime_base({abs(K.weight(c)) for c in K} - {0})) == 17
+        assert homology(K) == HOMOLOGY._certified_homology(K, K.dimension)
+
+    def test_a_projective_plane_beside_a_certified_complex_sends_both_to_smith(self):
+        # one low that is not +-1 anywhere fails the certificate for the whole complex
+        K, _ = build_woc("ACGTAC", {"A": 1, "C": 1, "G": 1, "T": 1}, 1)
+        part = homology(K)
+        assert part == [HomologyGroup(1), HomologyGroup(0), HomologyGroup(1), HomologyGroup(0), HomologyGroup(0)]
+        offset = 1 + max(v for s in K for v in s)
+        plane = closure([tuple(v + offset for v in t) for t in RP2])
+        cells = list(K) + list(plane)
+        union = WeightedComplex(SimplicialComplex(cells), {s: K.weight(s) if s in K else 1 for s in cells})
+        assert HOMOLOGY._certified_homology(union, union.dimension) is None
+        free = [g.free_rank for g in part]
+        free[0] += 1  # RP^2 is connected, with H_1 = Z/2 and H_2 = 0
+        assert homology(union) == [HomologyGroup(r, (2,) if n == 1 else ()) for n, r in enumerate(free)]
