@@ -51,18 +51,19 @@ dropped column is an integer combination of the kept ones. The column
 lattice of d_n, and with it its rank and invariant factors, is
 unchanged. A +-1 reached by Euclid steps comes after row operations
 and must not clear. A cleared column is never assembled. Class orders
-and the removal always take Smith, on their full matrices: a class
+of a given cycle always take Smith, on their full matrices: a class
 order comes from the factors of d_{n+1} with and without the cycle as
-a column. ``snf`` is loaded only when Smith runs.
+a column. ``snf`` is loaded only for Smith or by boundary_matrix.
 
 Divisibility is checked once, on every face pair, when the
 WeightedComplex is built; its weights never change after that, so
 assembly divides without checking again.
 
-Removal of a single maximal simplex is the surgery that is not a
-collapse: it can only touch homology in the two dimensions next to the
-removed cell, and which way dimension n moves is decided by the order
-of the removed boundary's class.
+Removal of a maximal n-simplex sigma, L = K - sigma, is the surgery
+that is not a collapse: H_n(K) = H_n(L) (+) Z exactly when [d sigma]
+has finite order k in H_{n-1}(L), H_{n-1}(K) = H_{n-1}(L) / <[d sigma]>,
+and no other group changes. The removal checks this on both sides'
+homology(); k = |T H_{n-1}(L)| / |T H_{n-1}(K)|, T(G / C) = T(G) / C.
 """
 
 from __future__ import annotations
@@ -104,12 +105,13 @@ class HomologyGroup(_GroupFields):
     def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()):
         if free_rank < 0:
             raise ValueError("negative free rank")
-        for d in torsion:
+        # the messages name entries: a coefficient may be past str()'s digit limit
+        for i, d in enumerate(torsion):
             if d <= 1:
-                raise ValueError(f"torsion coefficients must exceed 1, got {d}")
-        for a, b in zip(torsion, torsion[1:]):
+                raise ValueError(f"torsion coefficients must exceed 1, but entry {i} does not")
+        for i, (a, b) in enumerate(zip(torsion, torsion[1:])):
             if b % a != 0:
-                raise ValueError(f"torsion {torsion} is not a divisibility chain")
+                raise ValueError(f"torsion is not a divisibility chain: entry {i} does not divide entry {i + 1}")
         return super().__new__(cls, free_rank, torsion)
 
     @classmethod
@@ -126,6 +128,10 @@ class HomologyGroup(_GroupFields):
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z/{_decimal(d)}" for d in self.torsion)
         return " (+) ".join(parts) if parts else "0"
+
+    def __repr__(self) -> str:
+        torsion = ", ".join(map(_decimal, self.torsion)) + ("," if len(self.torsion) == 1 else "")
+        return f"HomologyGroup(free_rank={_decimal(self.free_rank)}, torsion=({torsion}))"
 
 
 def chain_basis(K: WeightedComplex, n: int) -> tuple[Simplex, ...]:
@@ -185,7 +191,13 @@ def _smith_homology(K: WeightedComplex, top: int) -> list[HomologyGroup]:
         kept = [s for j, s in enumerate(cells) if j not in cleared]
         reduced[n] = smith_normal_form(boundary_matrix(K, n, kept), unit_rows=unit_rows)
         cleared = set(unit_rows)
-    return [_group(n, sizes[n], reduced[n], reduced[n + 1]) for n in range(top + 1)]
+    groups = []
+    for n in range(top + 1):
+        free = sizes[n] - reduced[n].rank - reduced[n + 1].rank
+        if free < 0:
+            raise InternalInvariantError(f"negative free rank {free} in dimension {n}")
+        groups.append(HomologyGroup(free, tuple(d for d in reduced[n + 1].factors if d > 1)))
+    return groups
 
 
 def _coprime_base(values) -> list[int]:
@@ -317,14 +329,6 @@ def _reduce(cells, faces_read, exponents) -> list[list[tuple[int, int]]] | None:
     return pairs
 
 
-def _group(n: int, cells: int, below: SmithDecomposition, above: SmithDecomposition) -> HomologyGroup:
-    """H_n from the reductions of d_n and d_{n+1}; C_n has `cells` basis simplices."""
-    free = cells - below.rank - above.rank
-    if free < 0:
-        raise InternalInvariantError(f"negative free rank {free} in dimension {n}")
-    return HomologyGroup(free, tuple(d for d in above.factors if d > 1))
-
-
 def group_at(groups: Sequence[HomologyGroup], n: int) -> HomologyGroup:
     """The n-th group of a homology list, trivial outside the range."""
     if 0 <= n < len(groups):
@@ -380,6 +384,9 @@ class ClassOrder(NamedTuple):
             return f"torsion(k={_decimal(self.k)})"
         return self.kind
 
+    def __repr__(self) -> str:
+        return f"ClassOrder(kind={self.kind!r}, k={'None' if self.k is None else _decimal(self.k)})"
+
 
 def homology_class_order(K: WeightedComplex, n: int, z: Sequence[int]) -> ClassOrder:
     """Order of the class [z] in the n-th weighted homology group.
@@ -412,8 +419,8 @@ class RemovalReport(NamedTuple):
     * every dimension other than n - 1 and n is untouched;
     * dimension n - 1 of the larger complex is the quotient of the
       smaller one by the class of the weighted boundary of sigma
-      (``quotient_below``, computed from a presentation with the extra
-      boundary column; None when n = 0, where there is nothing below);
+      (``quotient_below``, read off homology() of the larger complex;
+      None when n = 0, where there is nothing below);
     * dimension n gains a free summand exactly when that class has
       finite order (``gains_free_summand``).
     """
@@ -427,35 +434,50 @@ class RemovalReport(NamedTuple):
 
 
 def elementary_removal(K: WeightedComplex, sigma) -> tuple[WeightedComplex, RemovalReport]:
-    """Remove one maximal simplex of nonzero weight and report the effect."""
+    """Remove one maximal simplex of nonzero weight and report the effect, read off homology()."""
     sigma = tuple(sigma)
     if sigma not in K or not K.is_maximal(sigma):
         raise NotMaximal(sigma)
     if K.weight(sigma) == 0:
         raise ZeroWeight(sigma)
-    return K.without((sigma,)), _removal_report(K, sigma)
+    L = K.without((sigma,))
+    return L, _removal_report(K, L, sigma)
 
 
-def _removal_report(K: WeightedComplex, sigma: Simplex) -> RemovalReport:
-    # sigma is a maximal simplex of K with nonzero weight. K minus sigma
-    # shares K's bases below n, and its d_n is K's on every other cell;
-    # [d_n(K - sigma) | chain] has the invariant factors of K's d_n. When
-    # n = 0, d_0 has no rows: the chain is empty and its class is zero.
-    from .snf import smith_normal_form
-
+def _removal_report(K: WeightedComplex, L: WeightedComplex, sigma: Simplex) -> RemovalReport:
+    # sigma is a maximal nonzero-weight simplex of K, and L = K - sigma. When
+    # n = 0, d_0 has no rows: the chain is empty, its class zero, H_0 gains Z.
     n = len(sigma) - 1
-    d = boundary_matrix(K, n, [s for s in chain_basis(K, n) if s != sigma])
     chain = boundary_matrix(K, n, (sigma,)).column(0)
-    below = boundary_matrix(K, n - 1)
-    if any(below.apply(chain)):
+    if any(boundary_matrix(K, n - 1).apply(chain)):
         raise InternalInvariantError(f"the boundary of {list(sigma)} is not a cycle")
-    extended = smith_normal_form(d.with_column(chain))
-    order = ClassOrder.of(smith_normal_form(d), extended)
+    hk, hl = homology(K, n), homology(L, n)
+    top_k, top_l = group_at(hk, n), group_at(hl, n)
+    below_k, below_l = group_at(hk, n - 1), group_at(hl, n - 1)
+    gain = top_k.free_rank - top_l.free_rank
+    rise = below_l.free_rank - below_k.free_rank
+    if gain not in (0, 1):
+        raise InternalInvariantError(f"removing {list(sigma)} changes the rank of H{n} by {-gain}, not 0 or -1")
+    if rise != 1 - gain:
+        raise InternalInvariantError(f"removing {list(sigma)} changes the rank of H{n - 1} by {rise}, not {1 - gain}")
+    if top_k.torsion != top_l.torsion:
+        raise InternalInvariantError(f"removing {list(sigma)} changes the torsion of H{n}")
+    if hk[:max(n - 1, 0)] != hl[:max(n - 1, 0)]:
+        raise InternalInvariantError(f"removing {list(sigma)} changes a group below H{n - 1}")
+    k, remainder = divmod(prod(below_l.torsion), prod(below_k.torsion))
+    if gain and remainder:
+        raise InternalInvariantError(f"removing {list(sigma)} changes the torsion order of H{n - 1} by a fraction")
+    if not gain:
+        order = ClassOrder.infinite()
+    elif k == 1:
+        order = ClassOrder.zero()
+    else:
+        order = ClassOrder.torsion(k)
     return RemovalReport(
         sigma=sigma,
         dimension=n,
         boundary_chain=chain,
         class_order=order,
-        gains_free_summand=order.is_torsion,
-        quotient_below=_group(n - 1, below.cols, smith_normal_form(below), extended) if n else None,
+        gains_free_summand=bool(gain),
+        quotient_below=below_k if n else None,
     )

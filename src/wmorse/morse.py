@@ -361,7 +361,7 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
     collapse_below = _morse_collapse(K, f, a, a_prime, below, level_subcomplex(K, f, a) if a < a_prime else below)
 
     # the set identity above already shows that top minus alpha is below
-    report = _removal_report(top, alpha) if K.weight(alpha) != 0 else None
+    report = _removal_report(top, below, alpha) if K.weight(alpha) != 0 else None
 
     return CriticalWindow(
         alpha=alpha, a=a, b=b, a_prime=a_prime,

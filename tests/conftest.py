@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from wmorse import (
+    HomologyGroup,
     SimplicialComplex,
     WeightedComplex,
     build_woc,
@@ -337,6 +338,23 @@ def weighted_disk(top_weight) -> WeightedComplex:
         ([0, 1], 1), ([0, 2], 1), ([1, 2], 1),
         ([0, 1, 2], top_weight),
     ])
+
+
+# Removing the triangle of weighted_disk(2): H(K) = Z, Z/2, 0 and
+# H(L) = Z, Z. Each entry edits the groups homology() gives one side,
+# {(side, n): group}, where side "K" holds the triangle and "L" does
+# not, so that one identity of the removal theorem fails; the second
+# item is the end of the message the removal's check must give.
+BROKEN_REMOVAL = {
+    "free-rank-top": ({("L", 2): HomologyGroup(1)}, "changes the rank of H2 by 1, not 0 or -1"),
+    "free-rank-below": ({("L", 1): HomologyGroup(2)}, "changes the rank of H1 by 2, not 1"),
+    "torsion-top": ({("K", 2): HomologyGroup(0, (3,))}, "changes the torsion of H2"),
+    "lower": ({("L", 0): HomologyGroup(2)}, "changes a group below H1"),
+    "remainder": (
+        {("K", 2): HomologyGroup(1), ("K", 1): HomologyGroup(1, (3,))},
+        "changes the torsion order of H1 by a fraction",
+    ),
+}
 
 
 # --- Morse builders -----------------------------------------------------------

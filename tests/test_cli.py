@@ -26,6 +26,7 @@ from wmorse.documents import dump_complex_document, load_complex_document, parse
 from wmorse.errors import DocumentError
 
 from conftest import (
+    BROKEN_REMOVAL,
     filled_triangle,
     hollow_triangle_w2,
     unlimited_int_digits,
@@ -659,6 +660,24 @@ BROKEN_WINDOW = {
         "the boundary of [0, 1, 2] is not a cycle",
     ),
 }
+# each removal-theorem identity, broken on the two levels of the window:
+# K(2) holds the triangle and K(3/2) does not
+BROKEN_WINDOW.update(
+    (f"theorem-{name}", (
+        "import importlib\n"
+        "h = importlib.import_module('wmorse.homology')\n"
+        "from wmorse.homology import HomologyGroup\n"
+        "real = h.homology\n"
+        f"edits = {edits!r}\n"
+        "def edited(K, max_dim):\n"
+        "    side = 'K' if (0, 1, 2) in K else 'L'\n"
+        "    groups = [h.group_at(real(K, max_dim), n) for n in range(max_dim + 1)]\n"
+        "    return [edits.get((side, n), g) for n, g in enumerate(groups)]\n"
+        "h.homology = edited\n",
+        f"removing [0, 1, 2] {message}",
+    ))
+    for name, (edits, message) in BROKEN_REMOVAL.items()
+)
 
 
 @pytest.mark.parametrize("broken", sorted(BROKEN_WINDOW))

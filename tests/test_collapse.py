@@ -1,5 +1,6 @@
 """Elementary collapses, preservation verdicts, and removals."""
 
+import importlib
 import random
 import time
 
@@ -7,17 +8,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    BROKEN_REMOVAL,
     filled_triangle,
     full_simplex,
     groups_equal_padded,
     hollow_triangle_w2,
     reference_greedy_collapse,
     sphere,
+    weighted_disk,
 )
 from generators import random_weighted_complex
 from wmorse import (
+    ClassOrder,
     CollapseStep,
     HomologyGroup,
+    InternalInvariantError,
     NotFreeFace,
     NotMaximal,
     Verdict,
@@ -30,8 +35,10 @@ from wmorse import (
     greedy_collapse,
     group_at,
     homology,
+    homology_class_order,
     validate_complex,
 )
+from wmorse.homology import _smith_homology
 
 
 class TestVerdicts:
@@ -250,6 +257,18 @@ class TestElementaryRemoval:
         assert group_at(homology(K), 1) == HomologyGroup(1)
         assert group_at(homology(L), 1) == HomologyGroup(0)
 
+    @pytest.mark.parametrize("w", [2, 3])
+    def test_edge_removal_with_torsion_class(self, w):
+        # the two edges of weight w make [1] - [0] a class of order w in H_0
+        # of the smaller complex; the removed edge kills it and closes a 1-cycle
+        K = validate_complex([([0], 1), ([1], 1), ([2], 1), ([0, 1], 1), ([0, 2], w), ([1, 2], w)])
+        L, report = elementary_removal(K, (0, 1))
+        assert report.class_order == ClassOrder.torsion(w)
+        assert report.gains_free_summand
+        assert report.quotient_below == HomologyGroup(1, (w,))
+        assert homology(L) == [HomologyGroup(1, (w, w)), HomologyGroup(0)]
+        assert homology(K) == [HomologyGroup(1, (w,)), HomologyGroup(1)]
+
     def test_top_cell_removal_with_infinite_class(self):
         # removing the solid triangle's face leaves its boundary circle,
         # where the boundary class generates; no free summand appears
@@ -279,20 +298,27 @@ class TestElementaryRemoval:
         assert homology(L) == [HomologyGroup(1)]
 
 
+def smith_groups(X):
+    """Every group of X by the Smith path, not the certified engine the removal reads."""
+    return _smith_homology(X, X.dimension) if X.dimension >= 0 else []
+
+
 def removal_respects_structure(K, sigma):
-    """Check one removal against the homology it claims to explain."""
+    """Check one removal against the Smith path's homology of both sides."""
     n = len(sigma) - 1
-    before = homology(K)
+    before = smith_groups(K)
     L, report = elementary_removal(K, sigma)
-    after = homology(L)
+    after = smith_groups(L)
     # untouched away from dimensions n-1, n
     top = max(K.dimension, L.dimension)
     for k in range(top + 1):
         if k not in (n - 1, n):
             assert group_at(before, k) == group_at(after, k), (sigma, k)
-    # the quotient presentation reproduces dimension n-1 of the larger complex
+    # the quotient is dimension n-1 of the larger complex, and the class
+    # order is the one the Smith path finds for the boundary in the smaller
     if n >= 1:
         assert report.quotient_below == group_at(before, n - 1), sigma
+        assert report.class_order == homology_class_order(L, n - 1, report.boundary_chain), sigma
     # dimension n either gains exactly one free summand or stays put
     gk, lk = group_at(before, n), group_at(after, n)
     if report.gains_free_summand:
@@ -309,3 +335,25 @@ def test_removal_reports_match_homology(seed):
     for sigma in K.maximal_simplices():
         if K.weight(sigma) != 0:
             removal_respects_structure(K, sigma)
+
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_REMOVAL))
+def test_removal_checks_the_theorem_between_the_two_sides(monkeypatch, broken):
+    module = importlib.import_module("wmorse.homology")
+    real, (edits, message) = module.homology, BROKEN_REMOVAL[broken]
+
+    def edited(X, max_dim):
+        side = "K" if (0, 1, 2) in X else "L"
+        groups = [group_at(real(X, max_dim), n) for n in range(max_dim + 1)]
+        return [edits.get((side, n), g) for n, g in enumerate(groups)]
+
+    K = weighted_disk(2)
+    report = elementary_removal(K, (0, 1, 2))[1]
+    assert (report.class_order.kind, report.gains_free_summand, report.quotient_below) == (
+        "infinite", False, HomologyGroup(0, (2,))
+    )
+    monkeypatch.setattr(module, "homology", edited)
+    with pytest.raises(InternalInvariantError) as excinfo:
+        elementary_removal(K, (0, 1, 2))
+    assert str(excinfo.value) == f"removing [0, 1, 2] {message}"

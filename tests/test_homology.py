@@ -76,6 +76,24 @@ class TestHomologyGroup:
             HomologyGroup(0, (1,))
         with pytest.raises(ValueError):
             HomologyGroup(0, (2, 3))  # 2 does not divide 3
+        # the messages name entries, so coefficients past the digit limit do not break them
+        with pytest.raises(ValueError, match="not a divisibility chain: entry 0 does not divide entry 1"):
+            HomologyGroup(0, (HUGE, HUGE + 1))
+        with pytest.raises(ValueError, match="must exceed 1, but entry 0 does not"):
+            HomologyGroup(0, (-HUGE,))
+
+    def test_repr_writes_coefficients_past_the_digit_limit(self):
+        assert repr(HomologyGroup(2)) == "HomologyGroup(free_rank=2, torsion=())"
+        assert repr(HomologyGroup(1, (2,))) == "HomologyGroup(free_rank=1, torsion=(2,))"
+        assert repr(HomologyGroup(0, (2, 4))) == "HomologyGroup(free_rank=0, torsion=(2, 4))"
+        assert repr(ClassOrder.infinite()) == "ClassOrder(kind='infinite', k=None)"
+        assert repr(ClassOrder.zero()) == "ClassOrder(kind='zero', k=1)"
+        texts = [repr(HomologyGroup(1, (HUGE, HUGE * 10 ** 600))), repr(ClassOrder.torsion(HUGE))]
+        with unlimited_int_digits():
+            assert texts == [
+                f"HomologyGroup(free_rank=1, torsion=({HUGE}, {HUGE * 10 ** 600}))",
+                f"ClassOrder(kind='torsion', k={HUGE})",
+            ]
 
     def test_group_at_out_of_range(self):
         groups = [HomologyGroup(1)]

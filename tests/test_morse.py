@@ -607,23 +607,31 @@ class TestWorkDoneOnce:
         assert Counter(built) == Counter([levels[8], levels[5], levels[3], levels[Fraction(1, 2)]])
 
     def test_homology_questions_build_only_the_boundaries_they_read(self, monkeypatch):
-        homology_module = importlib.import_module("wmorse.homology")
-        real = homology_module.boundary_matrix
+        homology_module, snf = importlib.import_module("wmorse.homology"), importlib.import_module("wmorse.snf")
+        real, real_smith = homology_module.boundary_matrix, snf.smith_normal_form
         built = []
 
         def counted(K, n, cells=None):
             built.append(n)
             return real(K, n, cells)
 
+        def no_smith(*args, **kwargs):
+            raise AssertionError("a removal ran a Smith reduction")
+
+        # a removal, in a window or not, reads its groups from the certified path
         monkeypatch.setattr(homology_module, "boundary_matrix", counted)
+        monkeypatch.setattr(snf, "smith_normal_form", no_smith)
         K, f = circle_with_tails()
         assert critical_window(K, f, (1, 2), "1/2", 8).removal.dimension == 1
         assert set(built) == {0, 1}
 
         K = full_simplex(4)
         built.clear()
-        elementary_removal(K, (0, 1, 2, 3, 4))
+        assert elementary_removal(K, (0, 1, 2, 3, 4))[1].class_order.kind == "infinite"
         assert set(built) == {3, 4}
+        by_dimension = validate_morse(K, {s: len(s) - 1 for s in K})
+        assert critical_window(K, by_dimension, (0, 1, 2, 3, 4), 3, 4).removal.class_order.kind == "infinite"
+        monkeypatch.setattr(snf, "smith_normal_form", real_smith)
 
         z = boundary_matrix(K, 2).column(0)
         built.clear()

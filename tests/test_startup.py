@@ -59,7 +59,7 @@ CALLS = {
     "homology": (["homology", "{doc}"], ["homology"], ["wmorse.collapse", "wmorse.morse", "wmorse.snf"]),
     "sequence": (["sequence", "CTC", "--weights", "A=1,C=2,G=3,T=4", "--woc-type", "2"],
                  ["sequence"], ["wmorse.collapse", "wmorse.morse", "wmorse.snf"]),
-    "morse-classify": (["morse", "{doc}", "{mdoc}", "--classify"], ["morse"], ["wmorse.sequence"]),
+    "morse-classify": (["morse", "{doc}", "{mdoc}", "--classify"], ["morse"], ["wmorse.sequence", "wmorse.snf"]),
     "morse-window": (["morse", "{doc}", "{mdoc}", "--window", "3/2", "2", "--cell", "0,1,2"],
                      ["morse"], ["wmorse.sequence"]),
 }
