@@ -14,6 +14,7 @@ Negative weights are allowed; divisibility ignores sign.
 
 from __future__ import annotations
 
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -84,10 +85,12 @@ def closure(generators: Iterable[Simplex]) -> set[Simplex]:
 class SimplicialComplex:
     """A finite face-closed set of simplices.
 
-    Construction validates closure by checking that every codimension-1
-    face of every simplex is present, which is enough by induction.
-    Iteration order is by dimension, then lexicographic, so anything
-    derived from iteration is deterministic.
+    Construction sorts each dimension into lex order and lists the face
+    table: each simplex's codimension-1 faces, in lex order, by index in
+    the dimension below. A missing face fails its lookup: that closure
+    check, enough by induction, names the first simplex in (dim, lex)
+    order that misses one. Iteration is in (dim, lex) order, so anything
+    derived from it is deterministic.
 
     Coface queries (cofacets, proper_cofaces, is_maximal, free_coface,
     maximal_simplices) go through a simplex -> cofacets index that the
@@ -95,18 +98,22 @@ class SimplicialComplex:
     O(degree), not a scan of the whole complex.
     """
 
-    __slots__ = ("_simplices", "_by_dim", "_cofacets")
+    __slots__ = ("_simplices", "_by_dim", "_faces", "_cofacets")
 
     def __init__(self, simplices: Iterable[Simplex]):
         members = frozenset(tuple(s) for s in simplices)
         by_dim: dict[int, list[Simplex]] = {}
         for s in members:
-            for f in faces(s):
-                if f not in members:
-                    raise NotFaceClosed(f)
             by_dim.setdefault(len(s) - 1, []).append(s)
         self._simplices = members
-        self._by_dim = {d: tuple(sorted(group)) for d, group in by_dim.items()}
+        self._by_dim = {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
+        self._faces: dict[int, tuple[tuple[int, ...], ...]] = {}
+        try:  # a vertex has no faces
+            for d, cells in self._by_dim.items():
+                index = {s: i for i, s in enumerate(self.of_dim(d - 1))}.__getitem__
+                self._faces[d] = tuple([tuple(map(index, combinations(s, d) if d > 0 else ())) for s in cells])
+        except KeyError as missing:
+            raise NotFaceClosed(missing.args[0]) from None
         self._cofacets = None
 
     @classmethod
@@ -124,6 +131,10 @@ class SimplicialComplex:
 
     def of_dim(self, n: int) -> tuple[Simplex, ...]:
         return self._by_dim.get(n, ())
+
+    def face_indices(self, n: int) -> tuple[tuple[int, ...], ...]:
+        """Entry j lists the faces of of_dim(n)[j] in lex order, as indices into of_dim(n - 1)."""
+        return self._faces.get(n, ())
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -203,38 +214,44 @@ class WeightedComplex(SimplicialComplex):
 
     Construction walks the simplices once, in (dim, lex) order: each
     needs an integer weight that every codimension-1 face's weight
-    divides, and the first defect in that order is the one reported.
-    It shares the simplex set, the dimension table and the cofacet
-    index (if already built) of the complex it is given, without
-    copying them. Instances are immutable after construction; all
-    operations return new objects. Weights are plain Python integers,
-    never floats. A weighted complex never equals an unweighted one.
+    divides, its faces read off the face table in deletion order, and
+    the first defect in that order is the one reported. It keeps each
+    dimension's weights in lex order (weights_of_dim) and shares the
+    tables and cofacet index (if built) of the complex it is given.
+    Instances are immutable; operations return new objects. Weights are
+    Python ints, never floats. It never equals an unweighted complex.
     """
 
-    __slots__ = ("_weight",)
+    __slots__ = ("_weight", "_weights")
 
     def __init__(self, complex: SimplicialComplex, weight: Mapping[Simplex, int]):
-        w: dict[Simplex, int] = {}
+        weights: dict[int, tuple[int, ...]] = {}
         # faces come first in (dim, lex) order; codim-1 checks suffice, as
         # divisibility is transitive, also when 0 divides only 0
-        for s in complex:
-            if s not in weight:
-                raise ValueError(f"no weight for simplex {list(s)}")
-            value = weight[s]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"weight of {list(s)} must be an integer, got {value!r}")
-            for f in faces(s):
-                wf = w[f]
-                if value % wf if wf else value:
-                    raise DivisibilityViolation(f, s, wf, value)
-            w[s] = value
-        self._simplices = complex._simplices
-        self._by_dim = complex._by_dim
-        self._cofacets = complex._cofacets
-        self._weight = w
+        for d, cells in complex._by_dim.items():
+            below, here = weights.get(d - 1), []
+            for s, f in zip(cells, complex._faces[d]):
+                if s not in weight:
+                    raise ValueError(f"no weight for simplex {list(s)}")
+                value = weight[s]
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"weight of {list(s)} must be an integer, got {value!r}")
+                for i in reversed(f):
+                    wf = below[i]
+                    if value % wf if wf else value:
+                        raise DivisibilityViolation(complex.of_dim(d - 1)[i], s, wf, value)
+                here.append(value)
+            weights[d] = tuple(here)
+        self._simplices, self._by_dim = complex._simplices, complex._by_dim
+        self._faces, self._cofacets = complex._faces, complex._cofacets
+        self._weight = dict(zip(complex, chain.from_iterable(weights.values())))
+        self._weights = weights
 
     def weight(self, sigma: Simplex) -> int:
         return self._weight[tuple(sigma)]
+
+    def weights_of_dim(self, n: int) -> tuple[int, ...]:
+        return self._weights.get(n, ())
 
     def items(self) -> list[tuple[Simplex, int]]:
         return [(s, self._weight[s]) for s in self]

@@ -32,32 +32,24 @@ is one of the paper's w-simple pairs. Primes that divide no weight
 carry no torsion, the first reduction's pairs give the ranks, and the
 powers of each b, sorted, multiply position-wise into the invariant
 factors. When every weight is +-1 one reduction runs, and there is no
-torsion. Face indices are computed once per cell, only for columns a
-reduction reads, and shared by the reductions.
+torsion.
 
 homology() takes the Smith path only when a low is not +-1 (the
 projective plane, or a cone over it ordered so that the plane comes
 first), however large the base: Smith's coefficients grow with the
-weights, and the plain boundary's do not. There boundary_matrix
-assembles the sparse columns of the n-cells it is given, over the
-basis of dimension n - 1, and the sparse Smith engine of ``snf``
-reduces them (no transforms), from the top down with clearing: each
-unit pivot (a face and coface of equal weight) that d_{n+1} takes
-before its first pivot that is not +-1 names an n-cell, and d_n is
-reduced without those cells' columns. Until then the engine has used
-column operations only, so the pivot columns are boundaries,
-unit-triangular on the named cells; as d_n kills every boundary, each
-dropped column is an integer combination of the kept ones. The column
-lattice of d_n, and with it its rank and invariant factors, is
-unchanged. A +-1 reached by Euclid steps comes after row operations
-and must not clear. A cleared column is never assembled. Class orders
-of a given cycle always take Smith, on their full matrices: a class
-order comes from the factors of d_{n+1} with and without the cycle as
-a column. ``snf`` is loaded only for Smith or by boundary_matrix.
+weights, and the plain boundary's do not. There the sparse Smith
+engine of ``snf`` reduces d_{top+1} .. d_0 without transforms, top
+down, with clearing as ``snf``'s notes justify it: the unit pivots
+that d_{n+1} takes before its first pivot that is not +-1 name
+n-cells, whose columns d_n drops unassembled. Class orders of a given
+cycle always take Smith, on their full matrices: a class order comes
+from the factors of d_{n+1} with and without the cycle as a column.
 
-Divisibility is checked once, on every face pair, when the
-WeightedComplex is built; its weights never change after that, so
-assembly divides without checking again.
+Both paths and the removal read boundaries off the face table and the
+weights that the complex lists once, in lex order, when it is built
+and checked. The certified reductions index cells as of_dim does and
+skip zero-weight cells, no column and no row of a nonzero column;
+``snf`` is loaded only for Smith.
 
 Removal of a maximal n-simplex sigma, L = K - sigma, is the surgery
 that is not a collapse: H_n(K) = H_n(L) (+) Z exactly when [d sigma]
@@ -68,11 +60,12 @@ homology(); k = |T H_{n-1}(L)| / |T H_{n-1}(K)|, T(G / C) = T(G) / C.
 
 from __future__ import annotations
 
-from itertools import combinations, compress, cycle, zip_longest
+from bisect import bisect_left
+from itertools import accumulate, compress, cycle, zip_longest
 from math import gcd, prod
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .complexes import Simplex, WeightedComplex, faces
+from .complexes import Simplex, WeightedComplex
 from .errors import InternalInvariantError, NotACycle, NotMaximal, ZeroWeight
 
 if TYPE_CHECKING:
@@ -136,31 +129,27 @@ class HomologyGroup(_GroupFields):
 
 def chain_basis(K: WeightedComplex, n: int) -> tuple[Simplex, ...]:
     """The nonzero-weight n-simplices in lexicographic order; () outside 0..dim K."""
-    cells = K.of_dim(n)
-    return tuple(compress(cells, map(K.weight, cells)))
+    return tuple(compress(K.of_dim(n), K.weights_of_dim(n)))
+
+
+def _boundary_columns(K: WeightedComplex, n: int, cells: Iterable[int]) -> list[dict[int, int]]:
+    """The weighted boundaries of nonzero-weight n-cells, given by index in of_dim(n), over chain_basis(K, n - 1).
+
+    In a cell's column the face that omits vertex i picks up sign (-1)^i
+    and coefficient w(sigma) / w(face), and comes i-th (deletion order).
+    """
+    above, below, table = K.weights_of_dim(n), K.weights_of_dim(n - 1), K.face_indices(n)
+    row = list(accumulate(map(bool, below), initial=0))  # a face's place in the basis
+    return [{row[f]: (-1) ** i * (above[t] // below[f]) for i, f in enumerate(reversed(table[t]))} for t in cells]
 
 
 def boundary_matrix(K: WeightedComplex, n: int, cells: Sequence[Simplex] | None = None) -> IntMatrix:
-    """The weighted boundary of the given n-cells, over chain_basis(K, n - 1).
-
-    cells are nonzero-weight n-cells of K, by default chain_basis(K, n).
-    Column j is the boundary of cells[j]: face i picks up sign (-1)^i
-    and coefficient w(sigma) / w(face).
-    """
+    """The weighted boundary of nonzero-weight n-cells (by default chain_basis(K, n)), as Smith's IntMatrix."""
     from .snf import IntMatrix
 
-    if cells is None:
-        cells = chain_basis(K, n)
-    index = {s: i for i, s in enumerate(chain_basis(K, n - 1))}
-    columns = []
-    for sigma in cells:
-        ws = K.weight(sigma)
-        column = {}
-        for i, face in enumerate(faces(sigma)):
-            q = ws // K.weight(face)
-            column[index[face]] = -q if i % 2 else q
-        columns.append(column)
-    return IntMatrix(len(index), len(columns), columns)
+    lex = K.of_dim(n)
+    columns = _boundary_columns(K, n, [bisect_left(lex, s) for s in (chain_basis(K, n) if cells is None else cells)])
+    return IntMatrix(len(chain_basis(K, n - 1)), len(columns), columns)
 
 
 def homology(K: WeightedComplex, max_dim: int | None = None) -> list[HomologyGroup]:
@@ -251,15 +240,15 @@ def _certified_homology(K: WeightedComplex, top: int) -> list[HomologyGroup] | N
     of the first give the ranks; each pair (low, tau) of d_{n+1} puts
     b ** (a_b(tau) - a_b(low)) into the torsion of H_n.
     """
-    cells = [chain_basis(K, n) for n in range(top + 2)]
-    weights = [list(map(abs, map(K.weight, c))) for c in cells]
+    weights = [list(map(abs, K.weights_of_dim(n))) for n in range(top + 2)]
+    # zero-weight cells are no columns; 0 must not reach _exponent, which never ends on it
+    columns = [list(compress(range(len(ws)), ws)) for ws in weights]
     distinct = set().union(*weights)
-    faces_read = [[None] * len(c) for c in cells]  # face indices, shared by the reductions
     ranks, powers = None, [[] for _ in range(top + 1)]
-    for b in _coprime_base(distinct) or [None]:
-        table = {w: 0 if b is None else _exponent(w, b) for w in distinct}
+    for b in _coprime_base(distinct - {0}) or [None]:
+        table = {w: 0 if b is None or not w else _exponent(w, b) for w in distinct}
         exponents = [[table[w] for w in ws] for ws in weights]
-        pairs = _reduce(cells, faces_read, exponents)
+        pairs = _reduce([K.face_indices(n) for n in range(top + 2)], columns, exponents)
         if pairs is None:
             return None
         if ranks is None:
@@ -271,37 +260,31 @@ def _certified_homology(K: WeightedComplex, top: int) -> list[HomologyGroup] | N
     groups = []
     for n in range(top + 1):
         factors = [prod(q) for q in zip_longest(*powers[n], fillvalue=1)]  # position-wise
-        groups.append(HomologyGroup(len(cells[n]) - ranks[n] - ranks[n + 1], tuple(reversed(factors))))
+        groups.append(HomologyGroup(len(columns[n]) - ranks[n] - ranks[n + 1], tuple(reversed(factors))))
     return groups
 
 
-def _reduce(cells, faces_read, exponents) -> list[list[tuple[int, int]]] | None:
+def _reduce(faces, columns, exponents) -> list[list[tuple[int, int]]] | None:
     """Pairs (row, column) of d_0 .. d_{top+1}, in lex indices; None at a low that is not +-1.
 
-    Each dimension's cells are ordered by (exponent, lex), a row by the
-    key exponent * rows + lex. Columns are reduced left to right, from
-    d_{top+1} down, and a row paired in d_{n+1} is a column that d_n
-    clears. A column whose low no earlier column holds is a pivot as it
-    stands, with its +-1 boundary coefficient there; it becomes a dict
-    only if a later column needs it. faces_read[n][j] holds the lex
-    indices of the faces of cells[n][j] once some reduction has read it.
+    faces[n] is the face table of dimension n, columns[n] its nonzero-weight
+    cells, ordered by (exponent, lex); a row's key is exponent * rows + lex.
+    Columns are reduced left to right, from d_{top+1} down, and a row paired
+    in d_{n+1} is a column that d_n clears. A column whose low no earlier
+    column holds is a pivot as it stands, with its +-1 boundary coefficient
+    there; it becomes a dict only if a later column needs it. Faces come in
+    lex order, deletion order reversed: the sign flips, no low or pair does.
     """
-    pairs: list[list[tuple[int, int]]] = [[] for _ in cells]
+    pairs: list[list[tuple[int, int]]] = [[] for _ in faces]
     cleared: set[int] = set()
-    for n in range(len(cells) - 1, 0, -1):
-        size = len(cells[n - 1])
+    for n in range(len(faces) - 1, 0, -1):
+        size = len(exponents[n - 1])
         key = [e * size + i for i, e in enumerate(exponents[n - 1])]
-        index, known, pivots, row = None, faces_read[n], {}, key.__getitem__
-        for t in sorted(range(len(cells[n])), key=exponents[n].__getitem__):
+        pivots, row = {}, key.__getitem__
+        for t in sorted(columns[n], key=exponents[n].__getitem__):
             if t in cleared:
                 continue
-            f = known[t]
-            if f is None:
-                if index is None:
-                    index = {s: j for j, s in enumerate(cells[n - 1])}
-                # faces in lex order, deletion order reversed: the column's
-                # sign flips, and no low or pair changes
-                f = known[t] = list(map(index.__getitem__, combinations(cells[n][t], n)))
+            f = faces[n][t]
             low = max(map(row, f))
             if low not in pivots:
                 pivots[low] = f
@@ -317,7 +300,7 @@ def _reduce(cells, faces_read, exponents) -> list[list[tuple[int, int]]] | None:
                     pivots[low] = col
                     pairs[n].append((low % size, t))
                     break
-                if type(other) is list:
+                if type(other) is tuple:
                     other = pivots[low] = dict(zip(map(row, other), cycle((1, -1))))
                 c = col[low] * other[low]
                 for r, x in other.items():
@@ -448,9 +431,12 @@ def _removal_report(K: WeightedComplex, L: WeightedComplex, sigma: Simplex) -> R
     # sigma is a maximal nonzero-weight simplex of K, and L = K - sigma. When
     # n = 0, d_0 has no rows: the chain is empty, its class zero, H_0 gains Z.
     n = len(sigma) - 1
-    chain = boundary_matrix(K, n, (sigma,)).column(0)
-    if any(boundary_matrix(K, n - 1).apply(chain)):
+    t = bisect_left(K.of_dim(n), sigma)
+    (column,) = _boundary_columns(K, n, (t,))
+    below = _boundary_columns(K, n - 1, reversed(K.face_indices(n)[t]))  # the faces, in the column's order
+    if any(sum(x * c.get(r, 0) for x, c in zip(column.values(), below)) for r in set().union(*below)):
         raise InternalInvariantError(f"the boundary of {list(sigma)} is not a cycle")
+    chain = tuple(column.get(r, 0) for r in range(len(chain_basis(K, n - 1))))
     hk, hl = homology(K, n), homology(L, n)
     top_k, top_l = group_at(hk, n), group_at(hl, n)
     below_k, below_l = group_at(hk, n - 1), group_at(hl, n - 1)

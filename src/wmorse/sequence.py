@@ -156,13 +156,14 @@ def build_woc(
     oc = order_complex(substrings(s), max_dim=max_dim)
     string_rule, simplex_rule = _RULES[woc_type.string_rule], _RULES[woc_type.simplex_rule]
     vertex = [reduce(string_rule, [letter_weights[ch] for ch in name]) for name in oc.names]
-    # Both rules are associative with unit 1, so a chain weighs the rule
-    # applied to the weight of its prefix (the chain less its last vertex)
-    # and that vertex's; (dim, lex) order weighs every prefix first.
-    weight = {(): 1}
-    for sigma in oc.complex:
-        weight[sigma] = simplex_rule(weight[sigma[:-1]], vertex[sigma[-1]])
-    return WeightedComplex(oc.complex, weight), oc.names
+    # Both rules are associative with unit 1, so a chain weighs the rule applied to its
+    # prefix's weight (its first face in the table) and its last vertex's.
+    K, weight, ws = oc.complex, {}, [1]  # the empty chain weighs 1
+    for n in range(K.dimension + 1):
+        prefixes = K.face_indices(n) if n else [(0,)] * len(vertex)
+        ws = [simplex_rule(ws[f[0]], vertex[c[-1]]) for c, f in zip(K.of_dim(n), prefixes)]
+        weight.update(zip(K.of_dim(n), ws))
+    return WeightedComplex(K, weight), oc.names
 
 
 def sequence_fingerprint(

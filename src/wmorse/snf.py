@@ -76,10 +76,6 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.columns[j].get(i, 0)
 
-    def column(self, j: int) -> tuple[int, ...]:
-        c = self.columns[j]
-        return tuple(c.get(i, 0) for i in range(self.rows))
-
     def with_column(self, vector: Sequence[int]) -> "IntMatrix":
         """This matrix with one more column appended."""
         if len(vector) != self.rows:

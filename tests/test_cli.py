@@ -649,14 +649,14 @@ BROKEN_WINDOW = {
     "removal": (
         "import importlib\n"
         "h = importlib.import_module('wmorse.homology')\n"
-        "real = h.boundary_matrix\n"
-        "def flipped(K, n, cells=None):\n"
-        "    d = real(K, n, cells)\n"
-        "    if n != 1:\n"
-        "        return d\n"
-        "    first = {i: -x if i == min(d.columns[0]) else x for i, x in d.columns[0].items()}\n"
-        "    return type(d)(d.rows, d.cols, (first,) + d.columns[1:])\n"
-        "h.boundary_matrix = flipped\n",
+        "real = h._boundary_columns\n"
+        "def flipped(K, n, cells):\n"
+        "    columns = real(K, n, cells)\n"
+        "    if n == 1:\n"
+        "        first = columns[0]\n"
+        "        first[min(first)] *= -1\n"
+        "    return columns\n"
+        "h._boundary_columns = flipped\n",
         "the boundary of [0, 1, 2] is not a cycle",
     ),
 }

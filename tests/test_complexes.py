@@ -140,6 +140,21 @@ class TestWeightedComplex:
         with pytest.raises(ValueError, match=r"no weight for simplex \[0, 1, 2\]"):
             WeightedComplex(SimplicialComplex(sims), weight)
 
+    def test_missing_face_of_the_first_coface_in_dim_lex_order_is_reported(self):
+        # [0, 1] and [0, 2] each miss a vertex: [0, 1] comes first
+        with pytest.raises(NotFaceClosed) as info:
+            SimplicialComplex([(0,), (0, 1), (0, 2)])
+        assert info.value.missing == (1,)
+        # the edge [0, 3] misses a vertex before the triangle [0, 1, 3] misses an edge
+        with pytest.raises(NotFaceClosed) as info:
+            SimplicialComplex(closure([(0, 1, 2)]) | {(0, 1, 3), (0, 3)})
+        assert info.value.missing == (3,)
+        # restrict and without run the same check
+        K = WeightedComplex(SimplicialComplex(closure([(0, 1, 2)])), dict.fromkeys(closure([(0, 1, 2)]), 1))
+        with pytest.raises(NotFaceClosed) as info:
+            K.without([(1,), (2,)])
+        assert info.value.missing == (1,)
+
     def test_zero_weight_coface_of_nonzero_face_allowed(self):
         # any weight divides zero, so a zero-weight top cell is fine
         K = validate_complex([([0], 2), ([1], 1), ([0, 1], 0)])
@@ -181,6 +196,38 @@ class TestWeightedComplex:
         assert K != plain and plain != K
         with pytest.raises(TypeError):
             hash(K)
+
+
+class TestFaceTable:
+    """The face indices every constructor lists and every consumer reads."""
+
+    @staticmethod
+    def assert_table_maps_back(K):
+        for n in range(-1, K.dimension + 2):
+            cells, table = K.of_dim(n), K.face_indices(n)
+            assert len(table) == len(cells)
+            for sigma, entry in zip(cells, table):
+                # faces() lists them in deletion order, the table in lex order
+                assert [K.of_dim(n - 1)[i] for i in entry] == faces(sigma)[::-1]
+
+    @pytest.mark.parametrize("seed", range(80))
+    def test_random_complexes_with_zero_stars_and_negative_weights(self, seed):
+        K = random_weighted_complex(random.Random(seed), max_vertices=9, max_facets=7,
+                                    max_facet_dim=4, zero_star_chance=0.5)
+        self.assert_table_maps_back(K)
+        for n in range(-1, K.dimension + 2):
+            assert K.weights_of_dim(n) == tuple(map(K.weight, K.of_dim(n)))
+        # a subcomplex lists its own table
+        self.assert_table_maps_back(K.without(K.maximal_simplices()[:1]))
+
+    @pytest.mark.parametrize("maximal", [
+        [(0, 1, 2, 3, 4)],
+        [(0, 2, 5), (1, 2, 3), (3, 7), (4,)],
+        [(2, 3, 5, 8), (0, 1, 5, 8), (1, 4)],
+    ])
+    def test_complexes_built_by_closure(self, maximal):
+        self.assert_table_maps_back(SimplicialComplex(closure(maximal)))
+        self.assert_table_maps_back(SimplicialComplex.from_maximal(maximal))
 
 
 def entries_of(K):

@@ -15,6 +15,7 @@ from conftest import (
     greedy_morse_values,
     groups_equal_padded,
     hollow_triangle_w2,
+    matrix_rows,
     reference_level,
     weighted_disk,
     xn_setup,
@@ -608,10 +609,11 @@ class TestWorkDoneOnce:
 
     def test_homology_questions_build_only_the_boundaries_they_read(self, monkeypatch):
         homology_module, snf = importlib.import_module("wmorse.homology"), importlib.import_module("wmorse.snf")
-        real, real_smith = homology_module.boundary_matrix, snf.smith_normal_form
+        real, real_smith = homology_module._boundary_columns, snf.smith_normal_form
         built = []
 
-        def counted(K, n, cells=None):
+        # boundary_matrix wraps the columns this assembles; the removal reads them directly
+        def counted(K, n, cells):
             built.append(n)
             return real(K, n, cells)
 
@@ -619,7 +621,7 @@ class TestWorkDoneOnce:
             raise AssertionError("a removal ran a Smith reduction")
 
         # a removal, in a window or not, reads its groups from the certified path
-        monkeypatch.setattr(homology_module, "boundary_matrix", counted)
+        monkeypatch.setattr(homology_module, "_boundary_columns", counted)
         monkeypatch.setattr(snf, "smith_normal_form", no_smith)
         K, f = circle_with_tails()
         assert critical_window(K, f, (1, 2), "1/2", 8).removal.dimension == 1
@@ -633,17 +635,18 @@ class TestWorkDoneOnce:
         assert critical_window(K, by_dimension, (0, 1, 2, 3, 4), 3, 4).removal.class_order.kind == "infinite"
         monkeypatch.setattr(snf, "smith_normal_form", real_smith)
 
-        z = boundary_matrix(K, 2).column(0)
+        z = [row[0] for row in matrix_rows(boundary_matrix(K, 2))]
         built.clear()
         assert homology_class_order(K, 1, z).kind == "zero"
         assert set(built) == {1, 2}
 
         # the certified path assembles no boundary matrix, and of the cells
-        # it lists or weighs none lies above dimension max_dim + 1
+        # it lists, weighs or reads the faces of none lies above dimension max_dim + 1
         read = []
-        real_of_dim, real_weight = SimplicialComplex.of_dim, WeightedComplex.weight
-        monkeypatch.setattr(SimplicialComplex, "of_dim",
-                            lambda self, n: read.append(n) or real_of_dim(self, n))
+        for cls, name in ((SimplicialComplex, "of_dim"), (SimplicialComplex, "face_indices"),
+                          (WeightedComplex, "weights_of_dim")):
+            monkeypatch.setattr(cls, name, lambda self, n, real=getattr(cls, name): read.append(n) or real(self, n))
+        real_weight = WeightedComplex.weight
         monkeypatch.setattr(WeightedComplex, "weight",
                             lambda self, s: read.append(len(s) - 1) or real_weight(self, s))
         built.clear()

@@ -1,8 +1,10 @@
 """Substring posets, order complexes, weightings, and fingerprints."""
 
+import importlib
 import itertools
 import time
 from collections import Counter
+from functools import reduce
 from math import gcd, lcm, prod
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from wmorse import (
     ALPHABETS,
+    DivisibilityViolation,
     HomologyGroup,
     SimplicialComplex,
     UnweightedSymbol,
@@ -23,7 +26,10 @@ from wmorse import (
     substrings,
 )
 from wmorse.cli import main
+from wmorse.complexes import faces
 from wmorse.sequence import MAX_SIMPLICES, check_letter_weights
+
+sequence_module = importlib.import_module("wmorse.sequence")
 
 DNA_WEIGHTS = {"A": 1, "C": 2, "G": 3, "T": 4}
 ALT_WEIGHTS = {"A": 1, "C": 2, "G": 1, "T": 3}
@@ -215,6 +221,25 @@ class TestWeighting:
             build_woc("CTC", {"C": 2, "T": -3}, 1)
         with pytest.raises(ZeroLetterWeight):
             check_letter_weights({"C": 2.5}, ["C"])
+
+    def test_divisibility_is_still_checked_on_the_sequence_path(self, monkeypatch):
+        # a simplex rule past which w(prefix) stops dividing w(chain): build_woc
+        # weighs each chain from its prefix, and the constructor must refuse it
+        def broken(a, b):
+            return a * b + (a * b > 400)
+
+        monkeypatch.setattr(sequence_module, "_RULES", {"lcm": lcm, "product": broken})
+        oc = order_complex(substrings("ACGTAC"))
+        vertex = [lcm(*(DNA_WEIGHTS[ch] for ch in name)) for name in oc.names]
+        weight = {s: reduce(broken, [vertex[v] for v in s], 1) for s in oc.complex}
+        # the first pair in (dim, lex) order of the coface, deletion order of its faces
+        first = next((f, s) for s in oc.complex for f in faces(s) if weight[s] % weight[f])
+        assert first == ((3, 4), (2, 3, 4))
+        assert weight[(2, 3, 4)] % weight[(2, 3)]  # its lex-first face fails too
+        with pytest.raises(DivisibilityViolation) as info:
+            build_woc("ACGTAC", DNA_WEIGHTS, 2)
+        assert (info.value.face, info.value.coface) == first
+        assert (info.value.w_face, info.value.w_coface) == (weight[first[0]], weight[first[1]])
 
     def test_alphabets_table(self):
         assert ALPHABETS["dna"] == ("A", "C", "G", "T")

@@ -117,7 +117,7 @@ def test_matrix_basics():
     A = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     assert A.entry(1, 2) == 6
     assert matrix_rows(A) == [[1, 2, 3], [4, 5, 6]]
-    assert A.column(1) == (2, 5)
+    assert A.columns[1] == {0: 2, 1: 5}
     assert matrix_rows(transpose(A)) == [[1, 4], [2, 5], [3, 6]]
     assert A.apply([1, 0, -1]) == (-2, -2)
     assert mul(A, IntMatrix(3, 3, ({j: 1} for j in range(3)))) == A

@@ -61,7 +61,7 @@ CALLS = {
                  ["sequence"], ["wmorse.collapse", "wmorse.morse", "wmorse.snf"]),
     "morse-classify": (["morse", "{doc}", "{mdoc}", "--classify"], ["morse"], ["wmorse.sequence", "wmorse.snf"]),
     "morse-window": (["morse", "{doc}", "{mdoc}", "--window", "3/2", "2", "--cell", "0,1,2"],
-                     ["morse"], ["wmorse.sequence"]),
+                     ["morse"], ["wmorse.sequence", "wmorse.snf"]),
 }
 
 
