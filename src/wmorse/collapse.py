@@ -81,9 +81,7 @@ def check_preservation(K: WeightedComplex, step: CollapseStep) -> PreservationVe
 def elementary_collapse(K: WeightedComplex, sigma) -> tuple[WeightedComplex, CollapseStep]:
     """Remove the free pair (sigma, its unique coface)."""
     sigma = tuple(sigma)
-    if sigma not in K:
-        raise NotFreeFace(sigma)
-    tau = K.free_coface(sigma)
+    tau = K.free_coface(sigma)  # None also when sigma is not in K
     if tau is None:
         raise NotFreeFace(sigma)
     return K.without((sigma, tau)), CollapseStep(sigma=sigma, tau=tau)

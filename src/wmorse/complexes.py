@@ -15,7 +15,7 @@ Negative weights are allowed; divisibility ignores sign.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, KeysView, Mapping
 
 from .errors import (
     DivisibilityViolation,
@@ -85,33 +85,33 @@ def closure(generators: Iterable[Simplex]) -> set[Simplex]:
 class SimplicialComplex:
     """A finite face-closed set of simplices.
 
-    Construction sorts each dimension into lex order and lists the face
-    table: each simplex's codimension-1 faces, in lex order, by index in
-    the dimension below. A missing face fails its lookup: that closure
-    check, enough by induction, names the first simplex in (dim, lex)
-    order that misses one. Iteration is in (dim, lex) order, so anything
-    derived from it is deterministic.
+    Construction sorts each dimension into lex order, maps each simplex
+    to its position there, and lists the face table: each simplex's
+    codimension-1 faces, in lex order, by position in the dimension
+    below. A missing face fails its lookup: that closure check, enough
+    by induction, names the first simplex in (dim, lex) order that
+    misses one. Iteration and simplices follow (dim, lex) order.
 
     Coface queries (cofacets, proper_cofaces, is_maximal, free_coface,
-    maximal_simplices) go through a simplex -> cofacets index that the
-    first such query builds in O(N * dim); after that each query costs
+    maximal_simplices) read the face table inverted, which the first
+    such query builds in O(N * dim); after that each query costs
     O(degree), not a scan of the whole complex.
     """
 
-    __slots__ = ("_simplices", "_by_dim", "_faces", "_cofacets")
+    __slots__ = ("_position", "_by_dim", "_faces", "_cofacets")
 
     def __init__(self, simplices: Iterable[Simplex]):
-        members = frozenset(tuple(s) for s in simplices)
         by_dim: dict[int, list[Simplex]] = {}
-        for s in members:
+        for s in set(map(tuple, simplices)):
             by_dim.setdefault(len(s) - 1, []).append(s)
-        self._simplices = members
         self._by_dim = {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
+        self._position: dict[Simplex, int] = {}
         self._faces: dict[int, tuple[tuple[int, ...], ...]] = {}
-        try:  # a vertex has no faces
+        index = self._position.__getitem__
+        try:  # a vertex has no faces; the map holds every dimension below d
             for d, cells in self._by_dim.items():
-                index = {s: i for i, s in enumerate(self.of_dim(d - 1))}.__getitem__
                 self._faces[d] = tuple([tuple(map(index, combinations(s, d) if d > 0 else ())) for s in cells])
+                self._position.update(zip(cells, range(len(cells))))
         except KeyError as missing:
             raise NotFaceClosed(missing.args[0]) from None
         self._cofacets = None
@@ -121,8 +121,8 @@ class SimplicialComplex:
         return cls(closure(generators))
 
     @property
-    def simplices(self) -> frozenset[Simplex]:
-        return self._simplices
+    def simplices(self) -> KeysView[Simplex]:
+        return self._position.keys()
 
     @property
     def dimension(self) -> int:
@@ -136,63 +136,67 @@ class SimplicialComplex:
         """Entry j lists the faces of of_dim(n)[j] in lex order, as indices into of_dim(n - 1)."""
         return self._faces.get(n, ())
 
+    def position(self, sigma: Simplex) -> int | None:
+        """The index of sigma in of_dim(dim sigma), or None if sigma is not a member."""
+        return self._position.get(tuple(sigma))
+
     @property
     def vertices(self) -> tuple[int, ...]:
         return tuple(s[0] for s in self.of_dim(0))
 
     def __contains__(self, sigma) -> bool:
-        return tuple(sigma) in self._simplices
+        return tuple(sigma) in self._position
 
     def __iter__(self) -> Iterator[Simplex]:
-        for d in sorted(self._by_dim):
-            yield from self._by_dim[d]
+        return iter(self._position)
 
     def __len__(self) -> int:
-        return len(self._simplices)
+        return len(self._position)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._simplices == other._simplices
-
-    def __hash__(self) -> int:
-        return hash(self._simplices)
+        return self.simplices == other.simplices
 
     def __repr__(self) -> str:
-        return f"SimplicialComplex({len(self)} simplices, dim {self.dimension})"
+        return f"{type(self).__name__}({len(self)} simplices, dim {self.dimension})"
 
-    def _cofacet_index(self) -> dict[Simplex, tuple[Simplex, ...]]:
-        # built on the first coface query: complexes that are only reduced
-        # (sequence fingerprints) never pay for it
+    def _cofacet_index(self) -> dict[int, list[list[Simplex]]]:
+        # entry i of dimension d lists the cofacets of of_dim(d)[i]; built on the first
+        # coface query: complexes that are only reduced (sequence fingerprints) never pay for it
         index = self._cofacets
         if index is None:
-            up: dict[Simplex, list[Simplex]] = {s: [] for s in self._simplices}
-            for t in self:  # (dim, lex) order, so each list comes out sorted
-                for f in faces(t):
-                    up[f].append(t)
-            index = self._cofacets = {s: tuple(ts) for s, ts in up.items()}
+            index = self._cofacets = {d: [[] for _ in cells] for d, cells in self._by_dim.items()}
+            for d, cells in self._by_dim.items():  # (dim, lex) order, so each list comes out sorted
+                below = index.get(d - 1)  # None for vertices, which have no faces
+                for t, entry in zip(cells, self._faces[d]):
+                    for i in entry:
+                        below[i].append(t)
         return index
+
+    def _up(self, sigma: Simplex) -> list[Simplex] | tuple[()]:
+        s = tuple(sigma)
+        i = self._position.get(s)
+        return () if i is None else (self._cofacets or self._cofacet_index())[len(s) - 1][i]
 
     def cofacets(self, sigma: Simplex) -> list[Simplex]:
         """Cofaces of sigma of exactly one dimension higher, in lex order."""
-        return list(self._cofacet_index().get(tuple(sigma), ()))
+        return list(self._up(sigma))
 
     def proper_cofaces(self, sigma: Simplex) -> list[Simplex]:
         """Every simplex strictly containing sigma, in (dim, lex) order."""
-        index = self._cofacet_index()
         out: list[Simplex] = []
-        level = index.get(tuple(sigma), ())
+        level = self._up(sigma)
         while level:
             out.extend(level)
-            level = sorted({t for s in level for t in index[s]})
+            level = sorted({t for s in level for t in self._up(s)})
         return out
 
     def is_maximal(self, sigma: Simplex) -> bool:
-        return not self._cofacet_index().get(tuple(sigma))
+        return not self._up(sigma)
 
     def maximal_simplices(self) -> list[Simplex]:
-        index = self._cofacet_index()
-        return [s for s in self if not index[s]]
+        return [s for s in self if not self._up(s)]
 
     def free_coface(self, sigma: Simplex) -> Simplex | None:
         """The unique proper coface of sigma, if there is exactly one.
@@ -201,12 +205,12 @@ class SimplicialComplex:
         coface tau + {v} of tau would contain the second cofacet
         sigma + {v} of sigma. So tau is one dimension up and maximal.
         """
-        up = self._cofacet_index().get(tuple(sigma), ())
+        up = self._up(sigma)
         return up[0] if len(up) == 1 else None
 
     def without(self, removed: Iterable[Simplex]) -> "SimplicialComplex":
         gone = {tuple(s) for s in removed}
-        return SimplicialComplex(self._simplices - gone)
+        return SimplicialComplex(self.simplices - gone)
 
 
 class WeightedComplex(SimplicialComplex):
@@ -215,14 +219,14 @@ class WeightedComplex(SimplicialComplex):
     Construction walks the simplices once, in (dim, lex) order: each
     needs an integer weight that every codimension-1 face's weight
     divides, its faces read off the face table in deletion order, and
-    the first defect in that order is the one reported. It keeps each
-    dimension's weights in lex order (weights_of_dim) and shares the
-    tables and cofacet index (if built) of the complex it is given.
+    the first defect in that order is the one reported. Each weight is
+    kept once, at its simplex's position in weights_of_dim; the position
+    map, face table and cofacet index (if built) are the given complex's.
     Instances are immutable; operations return new objects. Weights are
     Python ints, never floats. It never equals an unweighted complex.
     """
 
-    __slots__ = ("_weight", "_weights")
+    __slots__ = ("_weights",)
 
     def __init__(self, complex: SimplicialComplex, weight: Mapping[Simplex, int]):
         weights: dict[int, tuple[int, ...]] = {}
@@ -242,43 +246,38 @@ class WeightedComplex(SimplicialComplex):
                         raise DivisibilityViolation(complex.of_dim(d - 1)[i], s, wf, value)
                 here.append(value)
             weights[d] = tuple(here)
-        self._simplices, self._by_dim = complex._simplices, complex._by_dim
+        self._position, self._by_dim = complex._position, complex._by_dim
         self._faces, self._cofacets = complex._faces, complex._cofacets
-        self._weight = dict(zip(complex, chain.from_iterable(weights.values())))
         self._weights = weights
 
     def weight(self, sigma: Simplex) -> int:
-        return self._weight[tuple(sigma)]
+        s = tuple(sigma)
+        i = self._position[s]
+        return self._weights[len(s) - 1][i]
 
     def weights_of_dim(self, n: int) -> tuple[int, ...]:
         return self._weights.get(n, ())
 
     def items(self) -> list[tuple[Simplex, int]]:
-        return [(s, self._weight[s]) for s in self]
+        return list(zip(self, chain.from_iterable(self._weights.values())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return (isinstance(other, WeightedComplex) and self._simplices == other._simplices
-                and self._weight == other._weight)
-
-    def __repr__(self) -> str:
-        return f"WeightedComplex({len(self)} simplices, dim {self.dimension})"
+        return (isinstance(other, WeightedComplex) and self.simplices == other.simplices
+                and self._weights == other._weights)
 
     def restrict(self, members: Iterable[Simplex]) -> "WeightedComplex":
         """Sub-complex on the given simplices, keeping their weights.
 
         Raises NotFaceClosed if the selection is not a complex.
         """
-        selected = SimplicialComplex(tuple(s) for s in members)
-        for s in selected.simplices:
-            if s not in self._simplices:
-                raise KeyError(f"{list(s)} is not a simplex of this complex")
-        return WeightedComplex(selected, self._weight)
+        selected = SimplicialComplex(members)
+        return WeightedComplex(selected, {s: self.weight(s) for s in selected})
 
     def without(self, removed: Iterable[Simplex]) -> "WeightedComplex":
         gone = {tuple(s) for s in removed}
-        return self.restrict(self._simplices - gone)
+        return self.restrict(self.simplices - gone)
 
 
 def validate_complex(entries: Iterable[tuple[Iterable[int], int]]) -> WeightedComplex:

@@ -60,7 +60,6 @@ homology(); k = |T H_{n-1}(L)| / |T H_{n-1}(K)|, T(G / C) = T(G) / C.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate, compress, cycle, zip_longest
 from math import gcd, prod
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
@@ -147,8 +146,11 @@ def boundary_matrix(K: WeightedComplex, n: int, cells: Sequence[Simplex] | None 
     """The weighted boundary of nonzero-weight n-cells (by default chain_basis(K, n)), as Smith's IntMatrix."""
     from .snf import IntMatrix
 
-    lex = K.of_dim(n)
-    columns = _boundary_columns(K, n, [bisect_left(lex, s) for s in (chain_basis(K, n) if cells is None else cells)])
+    cells = chain_basis(K, n) if cells is None else cells
+    for s in cells:
+        if len(s) != n + 1 or s not in K or not K.weight(s):
+            raise ValueError(f"{list(s)} is not a cell of chain_basis(K, {n})")
+    columns = _boundary_columns(K, n, map(K.position, cells))
     return IntMatrix(len(chain_basis(K, n - 1)), len(columns), columns)
 
 
@@ -431,7 +433,7 @@ def _removal_report(K: WeightedComplex, L: WeightedComplex, sigma: Simplex) -> R
     # sigma is a maximal nonzero-weight simplex of K, and L = K - sigma. When
     # n = 0, d_0 has no rows: the chain is empty, its class zero, H_0 gains Z.
     n = len(sigma) - 1
-    t = bisect_left(K.of_dim(n), sigma)
+    t = K.position(sigma)
     (column,) = _boundary_columns(K, n, (t,))
     below = _boundary_columns(K, n - 1, reversed(K.face_indices(n)[t]))  # the faces, in the column's order
     if any(sum(x * c.get(r, 0) for x, c in zip(column.values(), below)) for r in set().union(*below)):

@@ -194,8 +194,10 @@ class TestWeightedComplex:
         plain = SimplicialComplex([(0,)])
         assert isinstance(K, SimplicialComplex)
         assert K != plain and plain != K
-        with pytest.raises(TypeError):
-            hash(K)
+        # neither is hashable: a hash would list every simplex again
+        for complex in (K, plain):
+            with pytest.raises(TypeError):
+                hash(complex)
 
 
 class TestFaceTable:
@@ -265,16 +267,45 @@ def test_free_coface_properties(seed):
         K.without([s, t])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=0, max_value=10 ** 9))
-def test_coface_queries_match_subset_enumeration(seed):
-    rng = random.Random(seed)
-    K = random_weighted_complex(rng, max_vertices=9, max_facets=7, max_facet_dim=4)
+def assert_coface_queries_match_subset_enumeration(K):
     up = reference_proper_cofaces(K.simplices)
     for s in K:
         want = sorted(up[s], key=lambda t: (len(t), t))
+        K.cofacets(s).append((99,))  # a caller's list is its own: the index must not change
         assert K.proper_cofaces(s) == want
         assert K.cofacets(s) == [t for t in want if len(t) == len(s) + 1]
         assert K.is_maximal(s) == (not want)
         assert K.free_coface(s) == (want[0] if len(want) == 1 else None)
     assert K.maximal_simplices() == [s for s in K if not up[s]]
+    # a non-member has no cofaces, so it counts as maximal
+    assert K.cofacets((99,)) == [] and K.proper_cofaces((99,)) == []
+    assert K.is_maximal((99,)) and K.free_coface((99,)) is None
+
+
+def subcomplexes(K):
+    """K, K less one maximal simplex, and the closure of every other remaining maximal simplex."""
+    top = K.maximal_simplices()
+    return [K, K.without(top[:1]), K.restrict(closure(top[1::2]))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9))
+def test_coface_queries_match_subset_enumeration(seed):
+    rng = random.Random(seed)
+    K = random_weighted_complex(rng, max_vertices=9, max_facets=7, max_facet_dim=4)
+    for L in subcomplexes(K):
+        assert_coface_queries_match_subset_enumeration(L)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_coface_queries_read_no_faces(seed, monkeypatch):
+    K = random_weighted_complex(random.Random(seed), max_vertices=9, max_facets=7, max_facet_dim=4)
+    # fresh complexes, none of which has built its cofacet index yet
+    fresh = [validate_complex(K.items())] + subcomplexes(K)[1:]
+
+    def no_faces(sigma):
+        raise AssertionError(f"a coface query listed the faces of {list(sigma)}")
+
+    monkeypatch.setattr("wmorse.complexes.faces", no_faces)
+    for L in fresh:
+        assert_coface_queries_match_subset_enumeration(L)

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -120,6 +121,14 @@ class TestBoundaryMatrices:
         assert (d.rows, d.cols) == (3, 2)
         assert matrix_rows(d) == [[0, -2], [-4, 2], [2, 0]]
         assert matrix_rows(boundary_matrix(K, 1, ())) == [[], [], []]
+
+    @pytest.mark.parametrize("cell", [(0, 3), (2, 3), (0, 1, 2), (0,), (1, 4), (7, 8)])
+    def test_cells_outside_the_chain_basis_are_refused(self, cell):
+        # (2, 3) has weight 0; (0, 3), (1, 4) and (7, 8) are missing; (0, 1, 2) and (0,) have the wrong dimension
+        K = weighted_closure([(0, 1, 2), (2, 3)], lambda s: 0 if s == (2, 3) else 1)
+        assert chain_basis(K, 1) == ((0, 1), (0, 2), (1, 2))
+        with pytest.raises(ValueError, match=re.escape(f"{list(cell)} is not a cell of chain_basis(K, 1)")):
+            boundary_matrix(K, 1, [(0, 1), cell])
 
     def test_dimension_zero_boundary_has_no_rows(self):
         d = boundary_matrix(filled_triangle(), 0)

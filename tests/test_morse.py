@@ -596,7 +596,7 @@ class TestWorkDoneOnce:
         real = WeightedComplex.__init__
 
         def init(self, complex, weight):
-            built.append(complex.simplices)
+            built.append(frozenset(complex.simplices))
             real(self, complex, weight)
 
         monkeypatch.setattr(WeightedComplex, "__init__", init)
