@@ -1,0 +1,113 @@
+"""Print sha256 digests of collapse, removal and Morse results over seeded inputs.
+
+Run from the repository root, on two checkouts, to show that a refactor
+left every result unchanged:
+
+    python scripts/identity_digests.py
+
+Each line names a family of results and the digest of their reprs, in
+a fixed order:
+
+  collapse  greedy collapses (result items, steps, verdicts), the same
+            steps replayed by collapse_sequence, and the removal report
+            of every maximal simplex of nonzero weight, over seeded
+            random_weighted_complex inputs with zero stars at 0.3;
+  morse     classify, level_subcomplex, morse_collapse and
+            critical_window on seeded complexes whose Morse values come
+            from conftest.greedy_morse_values, with and without split.
+            Also the refusal of random values that are not Morse. A
+            refused call is recorded by its error's class and text.
+
+The inputs come from tests/generators.py and tests/conftest.py, so the
+digests move only when the library's results or those helpers change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+from itertools import product
+from random import Random
+
+ROOT = Path(__file__).resolve().parent.parent
+# the recorded digests hold for these seeds only, so they are fixed
+COLLAPSE_SEEDS = range(1500)
+MORSE_SEEDS = range(500)
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from conftest import greedy_morse_values  # noqa: E402
+from generators import random_weighted_complex  # noqa: E402
+from wmorse import (  # noqa: E402
+    WeightedComplex,
+    WmorseError,
+    classify,
+    collapse_sequence,
+    critical_window,
+    elementary_removal,
+    greedy_collapse,
+    level_subcomplex,
+    morse_collapse,
+    validate_morse,
+)
+
+
+def collapse_records(seeds):
+    for seed in seeds:
+        K = random_weighted_complex(Random(seed), zero_star_chance=0.3)
+        end, applied = greedy_collapse(K)
+        yield seed, end.items(), applied
+        yield collapse_sequence(K, [step.sigma for step, _ in applied])[0].items()
+        for sigma in K.maximal_simplices():
+            if K.weight(sigma) != 0:
+                L, report = elementary_removal(K, sigma)
+                yield L.items(), report
+
+
+def attempt(call, *args):
+    """(result, None), or (None, the error's class and text) when the call is refused."""
+    try:
+        return call(*args), None
+    except WmorseError as error:
+        return None, (type(error).__name__, str(error))
+
+
+def morse_records(seeds):
+    for seed in seeds:
+        K = random_weighted_complex(Random(seed), zero_star_chance=0.3)
+        # weight 1 throughout makes every paired cell w-simple, so windows span many levels
+        for K, split in product((K, WeightedComplex(K, dict.fromkeys(K, 1))), (False, True)):
+            # random values are seldom Morse: the refusal lists every violation with its witnesses
+            rng = Random(seed)
+            yield attempt(validate_morse, K, {s: rng.randrange(len(s) + 2) for s in K})[1]
+            f = validate_morse(K, greedy_morse_values(K, split)[0])
+            cls = classify(K, f)
+            yield seed, split, sorted(cls.critical), sorted(cls.w_simple), sorted(cls.pair.items())
+            values = f.distinct_values()
+            for c in values:
+                yield level_subcomplex(K, f, c).items()
+            for a, b in [*zip(values, values[1:]), *((a, values[-1]) for a in values[:-2])]:
+                result, refused = attempt(morse_collapse, K, f, a, b)
+                yield refused or (result.start.items(), result.end.items(), result.steps, result.verdicts)
+            for alpha in sorted(cls.critical):
+                for a, b in ((values[0] - 1, values[-1]), (f(alpha) - 1, f(alpha))):
+                    w, refused = attempt(critical_window, K, f, alpha, a, b)
+                    yield refused or (w.a_prime, w.top.items(), w.below.items(), w.removal,
+                                      w.collapse_above.steps, w.collapse_below.steps)
+
+
+def digest(records) -> str:
+    h = hashlib.sha256()
+    for record in records:
+        h.update(repr(record).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def main() -> None:
+    print("collapse", digest(collapse_records(COLLAPSE_SEEDS)))
+    print("morse", digest(morse_records(MORSE_SEEDS)))
+
+
+if __name__ == "__main__":
+    main()

@@ -14,19 +14,22 @@ homology is decided by the pair's weights alone:
   anything else             -> no guarantee either way
 
 greedy_collapse, collapse_sequence and morse.morse_collapse share one
-incremental state: a cofacet map that each collapse edits in O(dim),
-plus a heap of free faces. None of them rebuilds or rescans the complex
-per step; each builds its result complex once, at the end.
+incremental state: a count of live cofacets by position in the
+complex's own index, which each collapse edits in O(dim), plus a heap
+of free faces. None of them rebuilds or rescans the complex per
+step; each builds its result complex once, at the end.
 elementary_collapse is the one-step operation on a whole complex.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
+from itertools import chain, compress
 from typing import NamedTuple
 
-from .complexes import Simplex, WeightedComplex, faces
+from .complexes import Simplex, WeightedComplex
 from .errors import NotFreeFace
 
 
@@ -65,8 +68,13 @@ def check_preservation(K: WeightedComplex, step: CollapseStep) -> PreservationVe
     Constant time: this inspects the two weights and nothing else, and
     in particular never computes homology.
     """
-    ws = K.weight(step.sigma)
-    wt = K.weight(step.tau)
+    return _verdict(K.weight(step.sigma), K.weight(step.tau))
+
+
+# equal verdicts share one object, which saves memory when a collapse
+# meets few weight pairs; with many, each miss costs about 0.3 us more
+@functools.lru_cache(maxsize=1024)
+def _verdict(ws: int, wt: int) -> PreservationVerdict:
     if ws == wt != 0:
         verdict = Verdict.SAME_WEIGHT
     elif wt == -ws and ws != 0:
@@ -90,33 +98,46 @@ def elementary_collapse(K: WeightedComplex, sigma) -> tuple[WeightedComplex, Col
 class _Collapser:
     """A complex shrinking by free pairs, with its free faces at hand.
 
-    Keeps a live simplex -> live cofacets map and a min-heap of
-    candidate free faces in plain tuple order. A simplex is free when
-    it has exactly one cofacet, so removing a pair (sigma, tau) can
-    change freeness only for the faces of sigma and tau, whose cofacet
-    sets it edits; just those are re-examined and, if free, pushed.
-    Entries that went stale stay in the heap until smallest_free meets
-    them.
+    Reads K's face table and cofacet index and keeps, per dimension and
+    position, the count of a cell's live cofacets, below 0 once the cell
+    is removed, plus a min-heap of candidate free faces in plain tuple
+    order. A cell is free when its count is 1; its coface is the one
+    live entry of its cofacet list. Removing a pair (sigma, tau) lowers
+    the counts of their faces only, so just those are re-examined and,
+    if free, pushed. Entries that went stale stay in the heap until
+    smallest_free meets them.
 
-    members, if given, is a subcomplex of K to start from; its cofacets
-    are read from K's own index, so it needs no index of its own.
+    members, if given, is a subcomplex of K to start from; the other
+    cells of K start removed.
     """
 
-    def __init__(self, K: WeightedComplex, members: frozenset[Simplex] | None = None):
-        if members is None:
-            self._up = {s: set(K.cofacets(s)) for s in K}
-        else:
-            self._up = {s: {t for t in K.cofacets(s) if t in members} for s in members}
-        self._heap = [s for s, up in self._up.items() if len(up) == 1]
+    def __init__(self, K: WeightedComplex, members: WeightedComplex | None = None):
+        self._K, self._position, self._up = K, K._position, K._cofacet_index()
+        start = 0 if members is None else -1
+        count = self._count = {d: [start] * len(K.of_dim(d)) for d in range(K.dimension + 1)}
+        for s in members or ():
+            count[len(s) - 1][self._position[s]] = 0
+        for d, here in count.items():
+            table, below = K.face_indices(d), count.get(d - 1)
+            for j in compress(range(len(here)), [c >= 0 for c in here]):
+                for g in table[j]:
+                    below[g] += 1
+        self.size = len(K if members is None else members)
+        self._heap = [s for s in self.live() if self._is_free(s)]
         heapq.heapify(self._heap)
 
-    @property
-    def simplices(self):
-        return self._up.keys()
+    def live(self):
+        """The live simplices, each dimension in lex order."""
+        return chain.from_iterable(compress(self._K.of_dim(d), (c >= 0 for c in here))
+                                   for d, here in self._count.items())
+
+    def is_live(self, sigma: Simplex) -> bool:
+        i = self._position.get(sigma)
+        return i is not None and self._count[len(sigma) - 1][i] >= 0
 
     def _is_free(self, sigma: Simplex) -> bool:
-        up = self._up.get(sigma)
-        return up is not None and len(up) == 1
+        i = self._position.get(sigma)
+        return i is not None and self._count[len(sigma) - 1][i] == 1
 
     def smallest_free(self) -> Simplex | None:
         heap = self._heap
@@ -129,15 +150,16 @@ class _Collapser:
         sigma = tuple(sigma)
         if not self._is_free(sigma):
             raise NotFreeFace(sigma)
-        (tau,) = self._up[sigma]
+        tau = next(t for t in self._up[len(sigma) - 1][self._position[sigma]] if self.is_live(t))
         for s in (sigma, tau):
-            del self._up[s]
-            for g in faces(s):
-                up = self._up.get(g)  # None for sigma, as a face of tau
-                if up is not None:
-                    up.discard(s)
-                    if len(up) == 1:
-                        heapq.heappush(self._heap, g)
+            d, i = len(s) - 1, self._position[s]
+            self._count[d][i] = -1
+            self.size -= 1
+            count = self._count.get(d - 1)
+            for g in self._K.face_indices(d)[i]:  # none for a vertex
+                count[g] -= 1  # sigma, as a face of tau, stays removed below 0
+                if count[g] == 1:
+                    heapq.heappush(self._heap, self._K.of_dim(d - 1)[g])
         return CollapseStep(sigma=sigma, tau=tau)
 
 
@@ -160,7 +182,7 @@ def collapse_sequence(K: WeightedComplex, sigmas) -> tuple[
         except NotFreeFace:
             raise NotFreeFace(sigma, step_index=i) from None
         applied.append((step, check_preservation(K, step)))
-    return K.restrict(state.simplices), applied
+    return K.restrict(state.live()), applied
 
 
 def greedy_collapse(K: WeightedComplex) -> tuple[
@@ -170,12 +192,12 @@ def greedy_collapse(K: WeightedComplex) -> tuple[
 
     Deterministic: at every step the smallest free face of the current
     complex in plain tuple order is taken. A run costs O(N * dim * log N):
-    building the cofacet map, then per step O(dim) map edits and heap
-    pushes.
+    counting each cell's cofacets, then per step O(dim) count edits and
+    heap pushes.
     """
     state = _Collapser(K)
     applied = []
     while (sigma := state.smallest_free()) is not None:
         step = state.collapse(sigma)
         applied.append((step, check_preservation(K, step)))
-    return K.restrict(state.simplices), applied
+    return K.restrict(state.live()), applied

@@ -22,15 +22,16 @@ in critical_window: collapse from above onto the level of the critical
 cell, remove that cell, and collapse again below.
 
 All of this comes from one scan of a complex, top-down in (dimension,
-lex) order, that asks each simplex for its cofacets once. From every
-cell's wrong neighbours the scan derives the Morse violations, the
-critical cells, the pairing and the w-simple cells. It also gives each
-cell its entry value, the least value on the cell and its cofaces, and
-the one level rule is K(c) = {s : entry(s) <= c}. validate_morse keeps
-the scan of the complex it checked with the function it returns, so
-classify, level_subcomplex and the collapses on that complex reuse it.
-A collapse walks the cells of K(b) outside K(a) grouped by entry value,
-from the top, on K's own cofacet index.
+lex) order, that reads each cell's cofacets and faces off K's own index
+by position. From every cell's wrong neighbours the scan derives the
+Morse violations, the critical cells, the pairing and the w-simple
+cells. It also gives each cell its entry value, the least value on the
+cell and its cofaces, and the one level rule is
+K(c) = {s : entry(s) <= c}. validate_morse keeps the scan of the
+complex it checked with the function it returns, so classify,
+level_subcomplex and the collapses on that complex reuse it. A collapse
+walks the cells of K(b) outside K(a) grouped by entry value, from the
+top, on K's own cell index.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .collapse import (
     check_preservation,
     _Collapser,
 )
-from .complexes import Simplex, WeightedComplex, faces, simplex
+from .complexes import Simplex, WeightedComplex, simplex
 from .documents import parse_rational
 from .errors import (
     DuplicateSimplex,
@@ -67,6 +68,8 @@ def to_fraction(value) -> Fraction:
         raise ValueError("Morse values must be rational numbers, got a bool")
     if isinstance(value, float):
         raise ValueError(f"refusing float {value!r}; pass a string or a Fraction")
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, (int, Rational)):
         return Fraction(value)
     if isinstance(value, str):
@@ -130,36 +133,40 @@ class _Scan(NamedTuple):
     complex: WeightedComplex
     violations: list
     classification: CellClassification
-    entry: dict[Simplex, Fraction]
+    entry: dict[int, list[Fraction]]  # by dimension, then position
 
 
 def _scan_of(K: WeightedComplex, f: MorseFunction) -> _Scan:
     """The one pass over K; the pass validate_morse made is reused."""
     if f._scan is not None and f._scan.complex is K:
         return f._scan
-    value = f._values
+    value, position, cofacets = f._values, K._position, K._cofacet_index()
     violations = []
     critical, w_simple, pair, entry = set(), set(), {}, {}
     clash = None
-    for s in reversed(list(K)):  # cofacets before their faces
-        fs = value[s]
-        cofacets = K.cofacets(s)
-        entry[s] = min([fs] + [entry[t] for t in cofacets])
-        up = [t for t in cofacets if value[t] <= fs]
-        down = [g for g in faces(s) if value[g] >= fs]
-        if len(up) > 1:
-            violations.append((s, 1, tuple(up)))
-        if len(down) > 1:
-            violations.append((s, 2, tuple(down)))
-        if up and down:
-            clash = s
-        if up or down:
-            pair[s] = (up or down)[0]
-        else:
-            critical.add(s)
-        w = K.weight(s)
-        if w != 0 and all(K.weight(g) == w for g in down):
-            w_simple.add(s)
+    for d in reversed(range(K.dimension + 1)):  # cofacets before their faces
+        cells, faces, weights = K.of_dim(d), K.face_indices(d), K.weights_of_dim(d)
+        below, low_weights, above = K.of_dim(d - 1), K.weights_of_dim(d - 1), entry.get(d + 1)
+        here = entry[d] = [None] * len(cells)
+        for i in reversed(range(len(cells))):
+            s, ups = cells[i], cofacets[d][i]
+            fs = value[s]
+            here[i] = min([fs] + [above[position[t]] for t in ups])
+            up = [t for t in ups if value[t] <= fs]
+            down = [g for g in reversed(faces[i]) if value[below[g]] >= fs]  # faces in deletion order
+            if len(up) > 1:
+                violations.append((s, 1, tuple(up)))
+            if len(down) > 1:
+                violations.append((s, 2, tuple(below[g] for g in down)))
+            if up and down:
+                clash = s
+            if up or down:
+                pair[s] = up[0] if up else below[down[0]]
+            else:
+                critical.add(s)
+            w = weights[i]
+            if w != 0 and all(low_weights[g] == w for g in down):
+                w_simple.add(s)
     # a cell with wrong neighbours both ways forces a violation at its
     # wrong face or its wrong coface, so f is not Morse on K
     if clash is not None and not violations:
@@ -207,7 +214,7 @@ def level_subcomplex(K: WeightedComplex, f: MorseFunction, c) -> WeightedComplex
     """K(c): the simplices of K whose entry value is at most c."""
     c = to_fraction(c)
     entry = _scan_of(K, f).entry
-    return K.restrict(s for s in K if entry[s] <= c)
+    return K.restrict(s for d, values in entry.items() for s, e in zip(K.of_dim(d), values) if e <= c)
 
 
 class MorseCollapse(NamedTuple):
@@ -263,11 +270,10 @@ def _morse_collapse(K: WeightedComplex, f: MorseFunction, a: Fraction, b: Fracti
     # start's cells grouped by the level they enter at, walked from the top down to a
     levels: dict[Fraction, set[Simplex]] = {}
     for s in start:
-        levels.setdefault(entry[s], set()).add(s)
+        levels.setdefault(entry[len(s) - 1][K.position(s)], set()).add(s)
     tops = sorted((v for v in levels if v > a), reverse=True)
-    state = _Collapser(K, start.simplices)
-    current = state.simplices
-    remaining = len(start)
+    state = _Collapser(K, start)
+    remaining = state.size
     steps: list[CollapseStep] = []
     verdicts: list[PreservationVerdict] = []
     for v, lower in zip(tops, tops[1:] + [a]):
@@ -294,7 +300,7 @@ def _morse_collapse(K: WeightedComplex, f: MorseFunction, a: Fraction, b: Fracti
             steps.append(step)
             verdicts.append(verdict)
         # with the levels above v already checked empty, this is live == K(lower)
-        if len(current) != remaining or not current.isdisjoint(gained):
+        if state.size != remaining or any(map(state.is_live, gained)):
             raise InternalInvariantError(f"collapsing the cells at {v} does not reach K({lower})")
     return MorseCollapse(a=a, b=b, start=start, end=end, steps=tuple(steps), verdicts=tuple(verdicts))
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    constant_complex,
     full_simplex,
     greedy_morse_values,
     groups_equal_padded,
@@ -27,6 +28,7 @@ from wmorse import (
     DuplicateSimplex,
     ExtraCritical,
     HomologyGroup,
+    HypothesisError,
     HypothesisFailed,
     InternalInvariantError,
     MorseViolation,
@@ -38,9 +40,11 @@ from wmorse import (
     WSimpleFailed,
     boundary_matrix,
     classify,
+    collapse_sequence,
     critical_window,
     elementary_collapse,
     elementary_removal,
+    greedy_collapse,
     group_at,
     homology,
     homology_class_order,
@@ -58,7 +62,8 @@ class TestToFraction:
     def test_exact_conversions(self):
         assert to_fraction("1/2") == Fraction(1, 2)
         assert to_fraction(3) == Fraction(3)
-        assert to_fraction(Fraction(7, 3)) == Fraction(7, 3)
+        q = Fraction(7, 3)
+        assert to_fraction(q) is q  # a Fraction is immutable, so it comes back as it is
         assert to_fraction("0.25") == Fraction(1, 4)
 
     def test_floats_and_junk_refused(self):
@@ -151,14 +156,15 @@ class TestValidateMorse:
         ]
 
     def test_broken_neighbour_lemma_survives_python_O(self, monkeypatch):
-        # with each vertex its own face, vertex 1 has a low coface and a
-        # high face while no cell has two of either
-        morse_module = importlib.import_module("wmorse.morse")
-        real = morse_module.faces
-        monkeypatch.setattr(morse_module, "faces", lambda s: [s] if len(s) == 1 else real(s))
-        K = full_simplex(1)
-        with pytest.raises(InternalInvariantError, match=r"\[1\] has wrong neighbours both ways"):
-            validate_morse(K, {(0,): 0, (1,): 2, (0, 1): 1})
+        # with the triangle listed as a cofacet of the edge [0, 1] too, that edge has
+        # a low coface and a high face, vertex 1, while no cell has two of either
+        K = constant_complex([(0, 1), (2, 3, 4)])
+        real = SimplicialComplex._cofacet_index
+        monkeypatch.setattr(SimplicialComplex, "_cofacet_index",
+                            lambda self: {**real(self), 1: [[(2, 3, 4)]] + real(self)[1][1:]})
+        values = {s: len(s) - 4 for s in K if s[0] > 1} | {(0,): 0, (1,): 2, (0, 1): 1}
+        with pytest.raises(InternalInvariantError, match=r"\[0, 1\] has wrong neighbours both ways"):
+            validate_morse(K, values)
 
     def test_extra_values_are_kept(self):
         K = full_simplex(1)
@@ -354,9 +360,10 @@ class TestMorseCollapse:
 
         def collapse(self, sigma):
             step = real(self, sigma)
-            if fault == "keeps-tau":
-                self._up[step.tau] = set()
-            del self._up[(0,)]
+            # a count of -1 marks a removed cell
+            for s, count in ([(step.tau, 0)] if fault == "keeps-tau" else []) + [((0,), -1)]:
+                self._count[len(s) - 1][K.position(s)] = count
+                self.size += 1 if count == 0 else -1
             return step
 
         monkeypatch.setattr(_Collapser, "collapse", collapse)
@@ -559,18 +566,18 @@ def circle_with_tails():
 
 
 class TestWorkDoneOnce:
-    def test_load_and_classify_ask_each_simplex_for_its_cofacets_once(self, tmp_path, monkeypatch):
+    def test_load_and_classify_scan_the_cofacet_index_once(self, tmp_path, monkeypatch):
         K, names, f, cell = xyyy_setup()
         path = tmp_path / "f.json"
         path.write_text(json.dumps({
             "values": [{"vertices": list(s), "value": str(v)} for s, v in f.items()]
         }))
-        asked = []
-        real = SimplicialComplex.cofacets
-        monkeypatch.setattr(SimplicialComplex, "cofacets",
-                            lambda self, sigma: asked.append(sigma) or real(self, sigma))
+        read = []
+        real = SimplicialComplex._cofacet_index
+        monkeypatch.setattr(SimplicialComplex, "_cofacet_index", lambda self: read.append(self) or real(self))
+        monkeypatch.setattr(SimplicialComplex, "cofacets", None)  # no per-simplex list copies either
         classify(K, load_morse_document(str(path), K))
-        assert sorted(asked) == sorted(K)
+        assert read == [K]
 
     def test_collapses_read_the_cofacet_index_of_the_complex(self, monkeypatch):
         K, f = circle_with_tails()
@@ -588,6 +595,36 @@ class TestWorkDoneOnce:
         critical_window(K, f, (1, 2), "1/2", 8)
         # alpha's maximality in K(f(alpha)) is read off K's index too
         assert built == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_collapses_and_morse_scans_list_no_faces(self, seed, monkeypatch):
+        K = random_weighted_complex(random.Random(seed), zero_star_chance=0.3)
+        # with weight 1 throughout every paired cell is w-simple, so the windows succeed
+        runs = [(L, *greedy_morse_values(L, split)[:2])
+                for L in (K, WeightedComplex(K, dict.fromkeys(K, 1))) for split in (False, True)]
+
+        def no_faces(sigma):
+            raise AssertionError(f"listed the faces of {list(sigma)}")
+
+        for module in ("complexes", "collapse", "morse"):
+            monkeypatch.setattr(f"wmorse.{module}.faces", no_faces, raising=False)
+        end, applied = greedy_collapse(K)
+        assert collapse_sequence(K, [step.sigma for step, _ in applied])[0] == end
+        for L, values, core in runs:
+            f = validate_morse(L, values)
+            critical = classify(L, f).critical
+            assert critical == core
+            top = f.distinct_values()[-1]
+            for c in f.distinct_values()[:-1]:
+                try:
+                    morse_collapse(L, f, c, top)
+                except HypothesisFailed as refused:
+                    assert L is K or refused.reason == "critical"
+            for alpha in critical:
+                try:
+                    critical_window(L, f, alpha, f(alpha) - 1, f(alpha))
+                except HypothesisError:
+                    assert L is K
 
     def test_critical_window_builds_each_level_once(self, monkeypatch):
         K, f = circle_with_tails()
