@@ -36,7 +36,7 @@ COLLAPSE_SEEDS = range(1500)
 MORSE_SEEDS = range(500)
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import greedy_morse_values  # noqa: E402
+from conftest import constant_table, greedy_morse_values  # noqa: E402
 from generators import random_weighted_complex  # noqa: E402
 from wmorse import (  # noqa: E402
     WeightedComplex,
@@ -76,7 +76,7 @@ def morse_records(seeds):
     for seed in seeds:
         K = random_weighted_complex(Random(seed), zero_star_chance=0.3)
         # weight 1 throughout makes every paired cell w-simple, so windows span many levels
-        for K, split in product((K, WeightedComplex(K, dict.fromkeys(K, 1))), (False, True)):
+        for K, split in product((K, WeightedComplex(K, constant_table(K))), (False, True)):
             # random values are seldom Morse: the refusal lists every violation with its witnesses
             rng = Random(seed)
             yield attempt(validate_morse, K, {s: rng.randrange(len(s) + 2) for s in K})[1]

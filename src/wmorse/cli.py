@@ -168,22 +168,12 @@ def cmd_morse(args) -> int:
     if args.classify:
         cls = classify(K, f)
         order = sorted(K, key=lambda s: (f(s), len(s), s))
-        critical = [s for s in order if cls.is_critical(s)]
-        rough = [s for s in order if not cls.is_w_simple(s)]
-        lines = [f"morse function valid on {len(K)} simplices"]
-        lines.append(f"critical cells: {len(critical)}")
-        lines.extend(f"critical: {_fmt_simplex(s)} f={f(s)}" for s in critical)
-        lines.append(f"non-w-simple cells: {len(rough)}")
-        lines.extend(f"non-w-simple: {_fmt_simplex(s)} f={f(s)}" for s in rough)
-        payload = {
-            "simplices": len(K),
-            "critical": [
-                {"vertices": list(s), "value": str(f(s))} for s in critical
-            ],
-            "non_w_simple": [
-                {"vertices": list(s), "value": str(f(s))} for s in rough
-            ],
-        }
+        lines, payload = [f"morse function valid on {len(K)} simplices"], {"simplices": len(K)}
+        for label, cells in (("critical", [s for s in order if cls.is_critical(s)]),
+                             ("non-w-simple", [s for s in order if not cls.is_w_simple(s)])):
+            lines.append(f"{label} cells: {len(cells)}")
+            lines.extend(f"{label}: {_fmt_simplex(s)} f={f(s)}" for s in cells)
+            payload[label.replace("-", "_")] = [{"vertices": list(s), "value": str(f(s))} for s in cells]
         _emit(args, lines, payload)
         return 0
 
@@ -223,10 +213,6 @@ def cmd_morse(args) -> int:
         f"a-prime: {cert.a_prime}",
         "K(a') == K(f(alpha)) minus alpha: yes",
         "alpha maximal in K(f(alpha)): yes",
-        f"collapse above: {len(cert.collapse_above.steps)} steps"
-        + (", all same-weight" if cert.collapse_above.all_same_weight else ""),
-        f"collapse below: {len(cert.collapse_below.steps)} steps"
-        + (", all same-weight" if cert.collapse_below.all_same_weight else ""),
     ]
     payload = {
         "alpha": list(alpha),
@@ -236,19 +222,10 @@ def cmd_morse(args) -> int:
         "a_prime": str(cert.a_prime),
         "set_identity": True,
         "alpha_maximal": True,
-        "collapse_above": {
-            "steps": [
-                _step_json(s, v)
-                for s, v in zip(cert.collapse_above.steps, cert.collapse_above.verdicts)
-            ]
-        },
-        "collapse_below": {
-            "steps": [
-                _step_json(s, v)
-                for s, v in zip(cert.collapse_below.steps, cert.collapse_below.verdicts)
-            ]
-        },
     }
+    for side, c in (("above", cert.collapse_above), ("below", cert.collapse_below)):
+        lines.append(f"collapse {side}: {len(c.steps)} steps" + (", all same-weight" if c.all_same_weight else ""))
+        payload[f"collapse_{side}"] = {"steps": [_step_json(s, v) for s, v in zip(c.steps, c.verdicts)]}
     if cert.removal is None:
         lines.append("removal: skipped (alpha has weight 0)")
         payload["removal"] = None

@@ -15,7 +15,7 @@ Negative weights are allowed; divisibility ignores sign.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Iterable, Iterator, KeysView, Mapping
+from typing import Iterable, Iterator, KeysView, Mapping, Sequence
 
 from .errors import (
     DivisibilityViolation,
@@ -104,6 +104,8 @@ class SimplicialComplex:
         by_dim: dict[int, list[Simplex]] = {}
         for s in set(map(tuple, simplices)):
             by_dim.setdefault(len(s) - 1, []).append(s)
+        for s in chain(by_dim.get(-1, ()), by_dim.get(0, ())):
+            simplex(s)  # checks the vertex ids, before sorting compares them
         self._by_dim = {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
         self._position: dict[Simplex, int] = {}
         self._faces: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -114,6 +116,11 @@ class SimplicialComplex:
                 self._position.update(zip(cells, range(len(cells))))
         except KeyError as missing:
             raise NotFaceClosed(missing.args[0]) from None
+        # the ends are vertex ids, found above; once every edge is strictly increasing,
+        # a cell further up that is not has failed the lookup of a face
+        for a, b in self._by_dim.get(1, ()):
+            if a >= b:
+                raise DuplicateVertex((a, b)) if a == b else ValueError(f"simplex {[a, b]} is not in increasing order")
         self._cofacets = None
 
     @classmethod
@@ -216,39 +223,40 @@ class SimplicialComplex:
 class WeightedComplex(SimplicialComplex):
     """A simplicial complex together with a divisibility-compatible weight.
 
-    Construction walks the simplices once, in (dim, lex) order: each
+    weights[d][i] weighs complex.of_dim(d)[i], the table weights_of_dim
+    returns. Construction walks the cells once, in (dim, lex) order: each
     needs an integer weight that every codimension-1 face's weight
-    divides, its faces read off the face table in deletion order, and
-    the first defect in that order is the one reported. Each weight is
-    kept once, at its simplex's position in weights_of_dim; the position
-    map, face table and cofacet index (if built) are the given complex's.
+    divides, faces read off the face table in deletion order, and the
+    first defect in that order is the one reported. The position map,
+    face table and cofacet index (if built) are the given complex's.
     Instances are immutable; operations return new objects. Weights are
     Python ints, never floats. It never equals an unweighted complex.
     """
 
     __slots__ = ("_weights",)
 
-    def __init__(self, complex: SimplicialComplex, weight: Mapping[Simplex, int]):
-        weights: dict[int, tuple[int, ...]] = {}
+    def __init__(self, complex: SimplicialComplex, weights: Sequence[Sequence[int]]):
+        if isinstance(weights, Mapping):
+            raise TypeError("weights[d][i] weighs of_dim(d)[i]; validate_complex takes simplex->weight records")
+        if len(weights) != len(complex._by_dim):
+            raise ValueError(f"{len(weights)} dimensions of weights for a complex of dimension {complex.dimension}")
+        table = self._weights = {}
         # faces come first in (dim, lex) order; codim-1 checks suffice, as
         # divisibility is transitive, also when 0 divides only 0
         for d, cells in complex._by_dim.items():
-            below, here = weights.get(d - 1), []
-            for s, f in zip(cells, complex._faces[d]):
-                if s not in weight:
-                    raise ValueError(f"no weight for simplex {list(s)}")
-                value = weight[s]
+            below, here = table.get(d - 1), tuple(weights[d])
+            if len(here) != len(cells):
+                raise ValueError(f"dimension {d} has {len(cells)} simplices but {len(here)} weights")
+            for s, f, value in zip(cells, complex._faces[d], here):
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise ValueError(f"weight of {list(s)} must be an integer, got {value!r}")
                 for i in reversed(f):
                     wf = below[i]
                     if value % wf if wf else value:
                         raise DivisibilityViolation(complex.of_dim(d - 1)[i], s, wf, value)
-                here.append(value)
-            weights[d] = tuple(here)
+            table[d] = here
         self._position, self._by_dim = complex._position, complex._by_dim
         self._faces, self._cofacets = complex._faces, complex._cofacets
-        self._weights = weights
 
     def weight(self, sigma: Simplex) -> int:
         s = tuple(sigma)
@@ -273,7 +281,7 @@ class WeightedComplex(SimplicialComplex):
         Raises NotFaceClosed if the selection is not a complex.
         """
         selected = SimplicialComplex(members)
-        return WeightedComplex(selected, {s: self.weight(s) for s in selected})
+        return WeightedComplex(selected, [list(map(self.weight, cells)) for cells in selected._by_dim.values()])
 
     def without(self, removed: Iterable[Simplex]) -> "WeightedComplex":
         gone = {tuple(s) for s in removed}
@@ -283,9 +291,9 @@ class WeightedComplex(SimplicialComplex):
 def validate_complex(entries: Iterable[tuple[Iterable[int], int]]) -> WeightedComplex:
     """Build a weighted complex from (vertices, weight) records.
 
-    Vertex tuples are canonicalized; repeated records for the same
-    simplex and repeated vertices inside one record are rejected. The
-    listing must be explicit: every face needs its own record.
+    Vertex tuples are canonicalized, and a record repeating a simplex or
+    a vertex is refused; every face needs its own record. This is where
+    simplex->weight records become WeightedComplex's table, by position.
     """
     weight: dict[Simplex, int] = {}
     for vertices, w in entries:
@@ -293,4 +301,5 @@ def validate_complex(entries: Iterable[tuple[Iterable[int], int]]) -> WeightedCo
         if s in weight:
             raise DuplicateSimplex(s)
         weight[s] = w
-    return WeightedComplex(SimplicialComplex(weight), weight)
+    K = SimplicialComplex(weight)
+    return WeightedComplex(K, [[weight[s] for s in cells] for cells in K._by_dim.values()])

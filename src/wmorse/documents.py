@@ -168,7 +168,8 @@ def load_complex_document(
         complex = SimplicialComplex.from_maximal(
             _vertex_list(r, f"{path}: simplices[{i}]") for i, r in enumerate(records)
         )
-        return WeightedComplex(complex, dict.fromkeys(complex.simplices, constant_weight)), names
+        table = [[constant_weight] * len(complex.of_dim(d)) for d in range(complex.dimension + 1)]
+        return WeightedComplex(complex, table), names
 
     entries = []
     for i, r in enumerate(records):

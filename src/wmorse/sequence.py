@@ -87,20 +87,21 @@ def order_complex(strings: Iterable[str], max_dim: int | None = None) -> OrderCo
     names = tuple(sorted(set(strings)))
     cap = len(names) if max_dim is None else max_dim + 1
     chains: list[tuple[int, ...]] = []
-    # each name's chains of fewer than cap names, the ones a longer name extends
-    extendable: list[list[tuple[int, ...]]] = [[] for _ in names]
-    order = sorted(range(len(names)), key=lambda i: len(names[i]))
-    for seen, v in enumerate(order):
+    # the names seen so far, shortest first, that have chains of fewer than cap
+    # names, with those chains: the ones a longer name extends
+    growing: list[tuple[str, list[tuple[int, ...]]]] = []
+    for v in sorted(range(len(names)), key=lambda i: len(names[i])):
         u = names[v]
         # a name as long as u is inside it only if it is u
-        below = [c for t in order[:seen] if names[t] in u for c in extendable[t]]
+        below = [c for t, extendable in growing if t in u for c in extendable]
         count = len(chains) + 1 + len(below)
         if count > MAX_SIMPLICES:
             raise ValueError(f"the substring order complex has at least {count:,} simplices, "
                              f"over the budget of {MAX_SIMPLICES:,}")
         topped = [(v,)] + [tuple(sorted(c + (v,))) for c in below]
         chains += topped
-        extendable[v] = [c for c in topped if len(c) < cap]
+        if extendable := [c for c in topped if len(c) < cap]:
+            growing.append((u, extendable))
     return OrderComplex(complex=SimplicialComplex(chains), names=names)
 
 
@@ -157,13 +158,13 @@ def build_woc(
     string_rule, simplex_rule = _RULES[woc_type.string_rule], _RULES[woc_type.simplex_rule]
     vertex = [reduce(string_rule, [letter_weights[ch] for ch in name]) for name in oc.names]
     # Both rules are associative with unit 1, so a chain weighs the rule applied to its
-    # prefix's weight (its first face in the table) and its last vertex's.
-    K, weight, ws = oc.complex, {}, [1]  # the empty chain weighs 1
+    # prefix's weight (its first face) and its last vertex's; row n weighs of_dim(n).
+    K, table, ws = oc.complex, [], [1]  # the empty chain weighs 1
     for n in range(K.dimension + 1):
         prefixes = K.face_indices(n) if n else [(0,)] * len(vertex)
         ws = [simplex_rule(ws[f[0]], vertex[c[-1]]) for c, f in zip(K.of_dim(n), prefixes)]
-        weight.update(zip(K.of_dim(n), ws))
-    return WeightedComplex(K, weight), oc.names
+        table.append(ws)
+    return WeightedComplex(K, table), oc.names
 
 
 def sequence_fingerprint(

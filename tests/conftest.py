@@ -298,9 +298,14 @@ def reference_level(K, f, c) -> set:
 
 # --- complex builders --------------------------------------------------------
 
+def constant_table(K, weight=1) -> list[list[int]]:
+    """One weight for every cell of K, laid out as WeightedComplex takes it."""
+    return [[weight] * len(K.of_dim(n)) for n in range(K.dimension + 1)]
+
+
 def constant_complex(maximal, weight=1) -> WeightedComplex:
-    sims = closure(maximal)
-    return WeightedComplex(SimplicialComplex(sims), {s: weight for s in sims})
+    K = SimplicialComplex(closure(maximal))
+    return WeightedComplex(K, constant_table(K, weight))
 
 
 def full_simplex(n, weight=1) -> WeightedComplex:

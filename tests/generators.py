@@ -57,4 +57,4 @@ def random_weighted_complex(
         for t in complex.proper_cofaces(root):
             weight[t] = 0
 
-    return WeightedComplex(complex, weight)
+    return WeightedComplex(complex, [[weight[s] for s in complex.of_dim(d)] for d in range(complex.dimension + 1)])

@@ -21,7 +21,6 @@ import pytest
 from wmorse import (
     HomologyGroup,
     IntMatrix,
-    SimplicialComplex,
     WeightedComplex,
     boundary_matrix,
     elementary_collapse,
@@ -33,6 +32,7 @@ from wmorse import (
     morse_collapse,
     sequence_fingerprint,
     smith_normal_form,
+    validate_complex,
 )
 from wmorse.cli import main
 from wmorse.complexes import closure
@@ -88,7 +88,7 @@ def random_wsc(rng) -> WeightedComplex:
         if rng.random() < 0.25:
             w = -w
         weights[s] = w
-    return WeightedComplex(SimplicialComplex(sims), weights)
+    return validate_complex(weights.items())
 
 
 def test_criterion_01_collapse_chain_homology_table():

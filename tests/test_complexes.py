@@ -1,5 +1,8 @@
 """Simplicial complex construction, validation, and face bookkeeping."""
 
+import json
+from collections.abc import Mapping
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,9 +13,11 @@ from wmorse import (
     NotFaceClosed,
     SimplicialComplex,
     WeightedComplex,
+    build_woc,
     validate_complex,
 )
 from wmorse.complexes import closure, dim, faces, simplex
+from wmorse.documents import load_complex_document
 
 import random
 
@@ -55,6 +60,31 @@ class TestSimplicialComplex:
     def test_face_closure_enforced(self):
         with pytest.raises(NotFaceClosed):
             SimplicialComplex([(0, 1), (0,)])  # (1,) missing
+
+    def test_vertex_ids_are_checked_as_simplex_checks_them(self):
+        for bad in ["a", -1, True, 1.0]:
+            with pytest.raises(ValueError, match="vertex ids must be non-negative integers"):
+                SimplicialComplex([(0,), (bad,)])
+        with pytest.raises(ValueError, match="at least one vertex"):
+            SimplicialComplex([(0,), ()])
+
+    def test_edges_must_be_strictly_increasing(self):
+        # a repeat is a DuplicateVertex, as in simplex()
+        with pytest.raises(DuplicateVertex):
+            SimplicialComplex([(0,), (0, 0)])
+        with pytest.raises(DuplicateVertex):
+            WeightedComplex(SimplicialComplex([(0,), (0, 0)]), [[1], [1]])
+        # [1, 0] would be a member that the query (0, 1) in K never finds
+        with pytest.raises(ValueError, match=r"^simplex \[1, 0\] is not in increasing order$"):
+            SimplicialComplex([(0,), (1,), (1, 0)])
+
+    def test_higher_cells_out_of_order_miss_a_face(self):
+        # with canonical edges, a cell further up out of order names its first face that is not one
+        edges = closure([(0, 1, 2)]) - {(0, 1, 2)}
+        for bad, missing in [((0, 2, 1), (2, 1)), ((0, 1, 1), (1, 1)), ((2, 1, 0), (2, 1))]:
+            with pytest.raises(NotFaceClosed) as info:
+                SimplicialComplex(edges | {bad})
+            assert info.value.missing == missing
 
     def test_repeated_simplices_collapse_to_a_set(self):
         K = SimplicialComplex([(0,), (0,)])
@@ -116,10 +146,54 @@ class TestWeightedComplex:
         assert K.weight((0, 1)) == 4
         assert list(K) == [(0,), (1,), (0, 1)]
 
-    def test_missing_weight_rejected(self):
-        sims = closure([(0, 1)])
-        with pytest.raises(ValueError):
-            WeightedComplex(SimplicialComplex(sims), {(0,): 1, (1,): 1})
+    def test_weights_must_have_the_complex_shape(self):
+        # weights[d][i] weighs of_dim(d)[i]: a missing or surplus dimension
+        # or cell is refused with the dimension named
+        K = SimplicialComplex(closure([(0, 1)]))
+        assert WeightedComplex(K, [[1, 2], [4]]).items() == [((0,), 1), ((1,), 2), ((0, 1), 4)]
+        with pytest.raises(ValueError, match=r"^1 dimensions of weights for a complex of dimension 1$"):
+            WeightedComplex(K, [[1, 1]])
+        with pytest.raises(ValueError, match=r"^3 dimensions of weights for a complex of dimension 1$"):
+            WeightedComplex(K, [[1, 1], [1], []])
+        with pytest.raises(ValueError, match=r"^dimension 1 has 1 simplices but 0 weights$"):
+            WeightedComplex(K, [[1, 1], []])
+        with pytest.raises(ValueError, match=r"^dimension 0 has 2 simplices but 3 weights$"):
+            WeightedComplex(K, [[1, 1, 1], [1]])
+        with pytest.raises(ValueError, match=r"^0 dimensions of weights for a complex of dimension 0$"):
+            WeightedComplex(SimplicialComplex([(0,)]), [])
+        assert len(WeightedComplex(SimplicialComplex([]), [])) == 0
+
+    def test_a_mapping_is_refused_with_a_pointer_to_validate_complex(self):
+        # {(0,): 1} read as a table would fail its lookup weights[0] with a bare KeyError
+        with pytest.raises(TypeError, match="validate_complex"):
+            WeightedComplex(SimplicialComplex([(0,)]), {(0,): 1})
+        K = SimplicialComplex(closure([(0, 1)]))
+        for mapping in (dict.fromkeys(K, 1), {0: [1, 1], 1: [1]}):
+            with pytest.raises(TypeError, match="validate_complex"):
+                WeightedComplex(K, mapping)
+        assert validate_complex((s, 1) for s in K) == WeightedComplex(K, [[1, 1], [1]])
+
+    def test_callers_hand_the_constructor_its_table_not_a_mapping(self, monkeypatch, tmp_path):
+        # build_woc, restrict, without and the constant-weight loader each lay
+        # their weights out by position; none builds a simplex-keyed dict
+        handed = []
+        init = WeightedComplex.__init__
+
+        def spy(self, complex, weights):
+            handed.append(weights)
+            init(self, complex, weights)
+
+        monkeypatch.setattr(WeightedComplex, "__init__", spy)
+        K, _ = build_woc("ACGTAC", {"A": 1, "C": 2, "G": 3, "T": 4}, 2)
+        K.restrict(K.of_dim(0))
+        K.without([K.of_dim(K.dimension)[0]])
+        doc = tmp_path / "maximal.json"
+        doc.write_text(json.dumps({"simplices": [{"vertices": [0, 1, 2]}, {"vertices": [2, 3]}]}))
+        L, _ = load_complex_document(str(doc), constant_weight=3)
+        assert len(handed) == 4
+        assert not any(isinstance(w, Mapping) for w in handed)
+        assert [len(w) for w in handed] == [K.dimension + 1, 1, K.dimension + 1, 3]
+        assert set(L) == closure([(0, 1, 2), (2, 3)]) and L.items() == [(s, 3) for s in L]
 
     def test_divisibility_violation(self):
         with pytest.raises(DivisibilityViolation) as info:
@@ -131,14 +205,18 @@ class TestWeightedComplex:
         # one walk weighs every face before its cofaces: the edge [0, 1]
         # breaks divisibility before the triangle's missing weight is met,
         # and [0, 1] comes before [1, 2] among the broken edges
-        sims = closure([(0, 1, 2)])
-        weight = {(0,): 2, (1,): 3, (2,): 1, (0, 1): 3, (0, 2): 2, (1, 2): 2}
+        K = SimplicialComplex(closure([(0, 1, 2)]))
+        # vertices [0] [1] [2]; edges [0, 1] [0, 2] [1, 2]; no triangle weight
+        weights = [[2, 3, 1], [3, 2, 2], []]
         with pytest.raises(DivisibilityViolation) as info:
-            WeightedComplex(SimplicialComplex(sims), weight)
+            WeightedComplex(K, weights)
         assert (info.value.face, info.value.coface) == ((0,), (0, 1))
-        weight[(0, 1)] = weight[(1, 2)] = 6
-        with pytest.raises(ValueError, match=r"no weight for simplex \[0, 1, 2\]"):
-            WeightedComplex(SimplicialComplex(sims), weight)
+        weights[1] = [6, 2, 6]
+        with pytest.raises(ValueError, match=r"^dimension 2 has 1 simplices but 0 weights$"):
+            WeightedComplex(K, weights)
+        weights[2] = [True]
+        with pytest.raises(ValueError, match=r"weight of \[0, 1, 2\] must be an integer, got True"):
+            WeightedComplex(K, weights)
 
     def test_missing_face_of_the_first_coface_in_dim_lex_order_is_reported(self):
         # [0, 1] and [0, 2] each miss a vertex: [0, 1] comes first
@@ -150,7 +228,7 @@ class TestWeightedComplex:
             SimplicialComplex(closure([(0, 1, 2)]) | {(0, 1, 3), (0, 3)})
         assert info.value.missing == (3,)
         # restrict and without run the same check
-        K = WeightedComplex(SimplicialComplex(closure([(0, 1, 2)])), dict.fromkeys(closure([(0, 1, 2)]), 1))
+        K = validate_complex((s, 1) for s in closure([(0, 1, 2)]))
         with pytest.raises(NotFaceClosed) as info:
             K.without([(1,), (2,)])
         assert info.value.missing == (1,)

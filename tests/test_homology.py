@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (
     class_order_oracle,
     constant_complex,
+    constant_table,
     filled_triangle,
     full_simplex,
     groups_equal_padded,
@@ -49,7 +50,7 @@ from wmorse.snf import IntMatrix, smith_normal_form
 
 
 def scaled(K, c):
-    return WeightedComplex(K, {s: c * w for s, w in K.items()})
+    return WeightedComplex(K, [[c * w for w in K.weights_of_dim(n)] for n in range(K.dimension + 1)])
 
 
 class TestHomologyGroup:
@@ -197,8 +198,8 @@ class TestClassicalAgreement:
     def test_random_complexes_constant_weight(self, seed):
         rng = random.Random(seed)
         K = random_weighted_complex(rng)
-        ones = WeightedComplex(K, {s: 1 for s in K.simplices})
-        sixes = WeightedComplex(K, {s: 6 for s in K.simplices})
+        ones = WeightedComplex(K, constant_table(K, 1))
+        sixes = WeightedComplex(K, constant_table(K, 6))
         assert homology(ones) == homology(sixes)
 
 
@@ -238,7 +239,7 @@ class TestGoldenExamples:
         assert homology(K, max_dim=5) == homology(K)
 
     def test_empty_complex(self):
-        K = WeightedComplex(SimplicialComplex([]), {})
+        K = WeightedComplex(SimplicialComplex([]), [])
         assert homology(K) == []
 
 
@@ -568,7 +569,7 @@ def reweighted(K, rng, generators):
             w = (1 if w > 0 else -1) * rng.choice((1, 1) + tuple(generators))
             w *= lcm(*(abs(weight[f]) for f in faces(s)))
         weight[s] = w
-    return WeightedComplex(K, weight)
+    return validate_complex(weight.items())
 
 
 def mixed_base_complex(seed, generators=GENERATORS):
@@ -588,8 +589,7 @@ RP2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
 
 
 def weighted_closure(maximal, weight):
-    cells = closure(maximal)
-    return WeightedComplex(SimplicialComplex(cells), {s: weight(s) for s in cells})
+    return validate_complex((s, weight(s)) for s in closure(maximal))
 
 
 class TestCertifiedPath:
@@ -631,7 +631,7 @@ class TestCertifiedPath:
         # of_dim, so each skipped column shifts no row of a nonzero column
         cells = closure([(0, 1, 2), (0, 2, 3), (1, 3)])
         nonzero = {(0,): 2, (2,): 3, (3,): 1, (0, 2): 6, (0, 3): 2, (2, 3): 3, (0, 2, 3): 12}
-        K = WeightedComplex(SimplicialComplex(cells), {s: nonzero.get(s, 0) for s in cells})
+        K = validate_complex((s, nonzero.get(s, 0)) for s in cells)
         assert [K.weights_of_dim(n) for n in range(3)] == [(2, 0, 3, 1), (0, 6, 2, 0, 0, 3), (0, 12)]
         certified, smith = both_paths(K)
         assert certified == smith == homology(K.restrict(nonzero))
@@ -699,7 +699,7 @@ class TestCertifiedPath:
         offset = 1 + max(v for s in K for v in s)
         plane = closure([tuple(v + offset for v in t) for t in RP2])
         cells = list(K) + list(plane)
-        union = WeightedComplex(SimplicialComplex(cells), {s: K.weight(s) if s in K else 1 for s in cells})
+        union = validate_complex((s, K.weight(s) if s in K else 1) for s in cells)
         assert HOMOLOGY._certified_homology(union, union.dimension) is None
         free = [g.free_rank for g in part]
         free[0] += 1  # RP^2 is connected, with H_1 = Z/2 and H_2 = 0

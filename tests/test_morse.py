@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     constant_complex,
+    constant_table,
     full_simplex,
     greedy_morse_values,
     groups_equal_padded,
@@ -511,7 +512,7 @@ class TestAgainstGreedyReference:
         rng = random.Random(seed)
         shape = random_weighted_complex(rng, max_vertices=7, max_facets=5, max_facet_dim=3)
         weight = rng.choice([1, 2, -3, 6])
-        K = WeightedComplex(shape, {s: weight for s in shape})
+        K = WeightedComplex(shape, constant_table(shape, weight))
         values, core, steps = greedy_morse_values(K, split)
         r, n = len(core), len(steps)
         f = validate_morse(K, values)
@@ -601,7 +602,7 @@ class TestWorkDoneOnce:
         K = random_weighted_complex(random.Random(seed), zero_star_chance=0.3)
         # with weight 1 throughout every paired cell is w-simple, so the windows succeed
         runs = [(L, *greedy_morse_values(L, split)[:2])
-                for L in (K, WeightedComplex(K, dict.fromkeys(K, 1))) for split in (False, True)]
+                for L in (K, WeightedComplex(K, constant_table(K))) for split in (False, True)]
 
         def no_faces(sigma):
             raise AssertionError(f"listed the faces of {list(sigma)}")

@@ -10,6 +10,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import constant_table
 from wmorse import (
     ALPHABETS,
     DivisibilityViolation,
@@ -96,6 +97,21 @@ class TestOrderComplex:
     def test_takes_any_iterable_of_strings(self):
         oc = order_complex(iter(["TC", "C", "T", "CT", "C"]))
         assert oc == order_complex(substrings("CTC"))
+
+    @pytest.mark.parametrize("max_dim, tests", [(-1, 0), (0, 0), (1, 1081), (2, 1081), (None, 1081)])
+    def test_only_names_with_a_chain_to_extend_are_tested_for_containment(self, max_dim, tests):
+        # below max_dim 1 no chain grows, so the walk needs no containment test;
+        # from there on every shorter name is one, 1,081 over these 47 names
+        class Counted(str):
+            calls = 0
+
+            def __contains__(self, other):
+                Counted.calls += 1
+                return str.__contains__(self, other)
+
+        names = substrings("ACGTTGCAAC")
+        assert order_complex(map(Counted, names), max_dim=max_dim) == order_complex(names, max_dim=max_dim)
+        assert Counted.calls == tests
 
     def test_strip_complex_for_xyyy(self):
         oc = order_complex(substrings("xyyy"))
@@ -348,7 +364,7 @@ class TestFingerprints:
         # homology of the constant-weight order complex must reflect
         every = {s[i:j] for i in range(len(s)) for j in range(i + 1, len(s) + 1)}
         oc = order_complex(every)
-        K = WeightedComplex(oc.complex, {t: 1 for t in oc.complex.simplices})
+        K = WeightedComplex(oc.complex, constant_table(oc.complex))
         groups = homology(K)
         assert groups[0] == HomologyGroup(1)
         assert all(g.is_trivial for g in groups[1:])
