@@ -159,7 +159,7 @@ def cmd_collapse(args) -> int:
 
 def cmd_morse(args) -> int:
     from .complexes import simplex
-    from .documents import load_morse_document, parse_rational
+    from .documents import load_morse_document
     from .morse import classify, critical_window, morse_collapse
 
     K = _load_complex(args)
@@ -179,9 +179,8 @@ def cmd_morse(args) -> int:
 
     if args.collapse is not None:
         cap = _max_dim_cap()
-        a, b = (parse_rational(x) for x in args.collapse)
-        cert = morse_collapse(K, f, a, b)
-        lines = [f"window: ({a}, {b}]"]
+        cert = morse_collapse(K, f, *args.collapse)
+        lines = [f"window: ({cert.a}, {cert.b}]"]
         lines.extend(
             _step_line(i + 1, s, v)
             for i, (s, v) in enumerate(zip(cert.steps, cert.verdicts))
@@ -193,7 +192,7 @@ def cmd_morse(args) -> int:
         lines.extend(compared)
         lines.append(f"agree: {'yes' if agree else 'no'}")
         payload = {
-            "window": [str(a), str(b)],
+            "window": [str(cert.a), str(cert.b)],
             "steps": [_step_json(s, v) for s, v in zip(cert.steps, cert.verdicts)],
             "start_homology": _homology_json(before),
             "end_homology": _homology_json(after),
@@ -203,13 +202,12 @@ def cmd_morse(args) -> int:
         return 0
 
     # window certificate
-    a, b = (parse_rational(x) for x in args.window)
     alpha = simplex(_parse_cell(args.cell))
-    cert = critical_window(K, f, alpha, a, b)
+    cert = critical_window(K, f, alpha, *args.window)
     n = len(alpha) - 1
     lines = [
         f"cell: {_fmt_simplex(alpha)} f={f(alpha)}",
-        f"window: ({a}, {b}]",
+        f"window: ({cert.a}, {cert.b}]",
         f"a-prime: {cert.a_prime}",
         "K(a') == K(f(alpha)) minus alpha: yes",
         "alpha maximal in K(f(alpha)): yes",
@@ -217,8 +215,8 @@ def cmd_morse(args) -> int:
     payload = {
         "alpha": list(alpha),
         "f_alpha": str(f(alpha)),
-        "a": str(a),
-        "b": str(b),
+        "a": str(cert.a),
+        "b": str(cert.b),
         "a_prime": str(cert.a_prime),
         "set_identity": True,
         "alpha_maximal": True,

@@ -106,7 +106,12 @@ class SimplicialComplex:
             by_dim.setdefault(len(s) - 1, []).append(s)
         for s in chain(by_dim.get(-1, ()), by_dim.get(0, ())):
             simplex(s)  # checks the vertex ids, before sorting compares them
-        self._by_dim = {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
+        try:
+            self._by_dim = {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
+        except TypeError:  # a cell above the vertices mixes vertex types; name one as simplex() does
+            for s in sorted(chain.from_iterable(by_dim.values()), key=repr):
+                simplex(s)
+            raise
         self._position: dict[Simplex, int] = {}
         self._faces: dict[int, tuple[tuple[int, ...], ...]] = {}
         index = self._position.__getitem__

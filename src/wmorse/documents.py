@@ -220,7 +220,13 @@ def load_steps_document(path: str) -> list[Simplex]:
 
 
 def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
-    """Read and validate a Morse document against a complex."""
+    """Read a Morse document and validate it against a complex.
+
+    Only what names the file and the entry is checked here: the JSON
+    shape, each record's vertex list and value type, and the digit
+    bounds of a text value. validate_morse takes the records in document
+    order and refuses a repeated simplex, a missing one, or a violation.
+    """
     from .morse import validate_morse
 
     doc = _load_json(path, exact_decimals=True)
@@ -229,7 +235,7 @@ def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
     records = doc["values"]
     if not isinstance(records, list):
         raise DocumentError(f"{path}: 'values' must be an array")
-    table = {}
+    entries = []
     for i, r in enumerate(records):
         where = f"{path}: values[{i}]"
         vs = _vertex_list(r, where)
@@ -238,15 +244,8 @@ def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
         v = r["value"]
         if not isinstance(v, (int, str)) or isinstance(v, bool):
             raise DocumentError(f"{where}: 'value' must be an integer or a string")
-        s = simplex(vs)
-        if s in table:
-            raise DocumentError(f"{where}: simplex {list(s)} listed twice")
-        table[s] = v if isinstance(v, int) else parse_rational(v, where)
-    uncovered = [s for s in K if s not in table]
-    if uncovered:
-        shown = ", ".join(str(list(s)) for s in uncovered[:5])
-        raise DocumentError(f"{path}: no Morse value for {shown}")
-    return validate_morse(K, table)
+        entries.append((vs, v if isinstance(v, int) else parse_rational(v, where)))
+    return validate_morse(K, entries)
 
 
 def parse_weights_spec(spec: str) -> dict[str, int]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .collapse import (
     CollapseStep,
@@ -176,23 +176,27 @@ def _scan_of(K: WeightedComplex, f: MorseFunction) -> _Scan:
     return _Scan(K, violations, cls, entry)
 
 
-def validate_morse(K: WeightedComplex, values: Mapping) -> MorseFunction:
+def validate_morse(K: WeightedComplex, values: Mapping | Iterable[tuple]) -> MorseFunction:
     """Check the two discrete Morse conditions on every simplex of K.
 
-    values must cover all of K (extra entries are allowed and kept) and
-    name each simplex once, in whatever vertex order.
+    values is a mapping or an iterable of (vertices, value) records, as
+    validate_complex takes them. This is where records become a
+    MorseFunction: each simplex is canonicalized once, in whatever
+    vertex order, and must be named once; each value is converted once
+    by to_fraction. values must cover all of K (extra entries are
+    allowed and kept); the error names the first five cells missing.
     All violations are collected before raising, so the error lists
     every offending cell with its witnesses.
     """
     table = {}
-    for s, v in values.items():
+    for s, v in values.items() if isinstance(values, Mapping) else values:
         s = simplex(s)
         if s in table:
             raise DuplicateSimplex(s)
         table[s] = to_fraction(v)
     missing = [s for s in K if s not in table]
     if missing:
-        raise ValueError(f"no Morse value for {[list(s) for s in missing]}")
+        raise ValueError(f"no Morse value for {', '.join(str(list(s)) for s in missing[:5])}")
     f = MorseFunction(table)
     scan = _scan_of(K, f)
     if scan.violations:

@@ -61,8 +61,9 @@ class OrderComplex(NamedTuple):
 
 # The most simplices order_complex lists: the largest measured complex,
 # ACGTACGTACG with 172,365, and some room. `wmorse sequence` on it took
-# 5.4 s and 99 MB (type 1) to 6.4 s and 112 MB (type 4) end to end on
-# Python 3.11.7, about half of it building the complex. ACGTACGTAC has
+# 0.95-1.01 s at 95 MB max RSS (type 1) to 1.20-1.36 s at 105 MB (type 4)
+# end to end, three runs each by scripts/bench.py on Python 3.11.7 and 2
+# cores, most of it building the complex. ACGTACGTAC has
 # 50,950 and ACGTACGTACGT 583,109. A * n has 2 ** (n - 1) - 1, so A * 19
 # is refused. Unchecked, A * 30 would try about 5 * 10 ** 8 simplices
 # and exhaust memory.

@@ -19,9 +19,12 @@ import pytest
 
 import wmorse
 import wmorse.cli
+import wmorse.documents
+import wmorse.morse
 import wmorse.sequence
 from wmorse import __version__, validate_complex
 from wmorse.cli import main
+from wmorse.complexes import simplex
 from wmorse.documents import dump_complex_document, load_complex_document, parse_rational
 from wmorse.errors import DocumentError
 
@@ -393,7 +396,9 @@ def test_morse_document_must_cover_the_complex(tmp_path, capsys):
     mdoc = write_morse(tmp_path / "f.json", [((0,), 0), ((1,), 2)])
     code, _, err = run_cli(capsys, "morse", doc, mdoc, "--classify")
     assert code == 2
-    assert "no Morse value" in err
+    assert err == "error: no Morse value for [0, 1]\n"
+    mdoc = write_morse(tmp_path / "f.json", [((0,), 0)])
+    assert run_cli(capsys, "morse", doc, mdoc, "--classify") == (2, "", "error: no Morse value for [1], [0, 1]\n")
 
 
 def test_morse_document_rejects_duplicates(tmp_path, capsys):
@@ -402,7 +407,24 @@ def test_morse_document_rejects_duplicates(tmp_path, capsys):
     mdoc = write_morse(tmp_path / "f.json", [((0,), 0), ((0,), 1)])
     code, _, err = run_cli(capsys, "morse", doc, mdoc, "--classify")
     assert code == 2
-    assert "listed twice" in err
+    assert err == "error: DuplicateSimplex: simplex [0] listed twice\n"
+
+
+def test_morse_document_canonicalizes_each_record_once(tmp_path, monkeypatch):
+    K = weighted_disk(2)
+    doc = write_complex(tmp_path / "disk.json", K)
+    mdoc = write_morse(tmp_path / "f.json", [(s, len(s) - 1) for s in reversed(list(K))])
+    calls = []
+
+    def counted(vertices):
+        calls.append(vertices)
+        return simplex(vertices)
+
+    for module in (wmorse.documents, wmorse.morse):
+        monkeypatch.setattr(module, "simplex", counted)
+    f = wmorse.documents.load_morse_document(mdoc, K)
+    assert len(calls) == len(K) == 7
+    assert [f(s) for s in K] == [len(s) - 1 for s in K]
 
 
 def test_morse_violation_exits_2(tmp_path, capsys):

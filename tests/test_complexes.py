@@ -67,6 +67,11 @@ class TestSimplicialComplex:
                 SimplicialComplex([(0,), (bad,)])
         with pytest.raises(ValueError, match="at least one vertex"):
             SimplicialComplex([(0,), ()])
+        # above the vertices, a dimension that mixes int and str vertices cannot be sorted
+        for cells in ([(0,), (1,), (0, 1), (0, "a")],
+                      [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2), (0, 1, "a")]):
+            with pytest.raises(ValueError, match=r"^vertex ids must be non-negative integers, got 'a'$"):
+                SimplicialComplex(cells)
 
     def test_edges_must_be_strictly_increasing(self):
         # a repeat is a DuplicateVertex, as in simplex()

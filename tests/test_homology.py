@@ -29,7 +29,7 @@ from conftest import (
     unlimited_int_digits,
     weighted_disk,
 )
-from generators import random_weighted_complex
+from generators import prime_weight_complex, random_weighted_complex
 from wmorse import (
     ClassOrder,
     HomologyGroup,
@@ -704,3 +704,21 @@ class TestCertifiedPath:
         free = [g.free_rank for g in part]
         free[0] += 1  # RP^2 is connected, with H_1 = Z/2 and H_2 = 0
         assert homology(union) == [HomologyGroup(r, (2,) if n == 1 else ()) for n, r in enumerate(free)]
+
+
+class TestPrimeWeightComplex:
+    """The seeded many-prime input that the bench script times at scale."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_homology_matches_smith_on_small_instances(self, seed):
+        K = prime_weight_complex(seed, n=12, t=25, k=5)
+        assert [len(K.of_dim(n)) for n in range(3)][::2] == [12, 25]
+        assert homology(K) == HOMOLOGY._smith_homology(K, K.dimension)
+
+    def test_the_measured_weight_table_is_pinned(self):
+        # 11,464 cells; at k = 300 the 300 vertices draw 190 distinct primes
+        K = prime_weight_complex(1)
+        assert [len(K.of_dim(n)) for n in range(3)] == [300, 8164, 3000]
+        assert len(set(K.weights_of_dim(0))) == 190
+        digest = hashlib.sha256(repr(K.items()).encode()).hexdigest()
+        assert digest == "0ce59705a98f6d82e90e4741216db05c097c40d51947489fe072087aa4cc5185"

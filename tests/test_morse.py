@@ -100,12 +100,26 @@ class TestValidateMorse:
         K = full_simplex(1)
         with pytest.raises(ValueError, match="no Morse value"):
             validate_morse(K, {(0,): 0, (1,): 0})
+        # the message names the first five cells missing, however many there are
+        K = validate_complex([([v], 1) for v in range(300)])
+        with pytest.raises(ValueError) as info:
+            validate_morse(K, {})
+        assert str(info.value) == "no Morse value for [0], [1], [2], [3], [4]"
 
     def test_simplex_named_twice_rejected(self):
         K = full_simplex(1)
         # (1, 0) is the edge (0, 1) again; its value must not replace the first
         with pytest.raises(DuplicateSimplex, match=r"simplex \[0, 1\] listed twice"):
             validate_morse(K, {(0,): 0, (1,): 2, (0, 1): 1, (1, 0): 5})
+
+    def test_records_are_taken_as_pairs(self):
+        K = full_simplex(1)
+        records = [([1, 0], "1/2"), ((0,), 0), ([1], Fraction(1, 4))]
+        f = validate_morse(K, records)
+        assert f.items() == validate_morse(K, {(0,): 0, (1,): "1/4", (0, 1): "1/2"}).items()
+        # an exact repeat, which a mapping cannot hold, is refused like a reordered one
+        with pytest.raises(DuplicateSimplex, match=r"^simplex \[0\] listed twice$"):
+            validate_morse(K, records + [((0,), 0)])
 
     def test_two_high_faces_rejected(self):
         K = validate_complex([([0], 1), ([1], 1), ([0, 1], 1)])
