@@ -13,14 +13,19 @@ for the refusals and --version).
 
 Rows: `wmorse --version`; `sequence` on ACGTACGTAC and ACGTACGTACG,
 types 1 to 4; `collapse --auto-greedy` on the ACGTACGTACG complex,
-types 1 and 3; `homology` of tests/generators.prime_weight_complex at
-seed 1 with k = 16, 64 and 300; and the refusals of 30 `A`s and of a
-seeded random 300-letter sequence.
+types 1 and 3; `collapse --steps` of one free pair on the same two
+complexes, where loading the document and restricting to the rest
+dominate; `homology` of the ACGTACGTACG type-1 document, where loading
+it is about as long as the reduction; `homology` of
+tests/generators.prime_weight_complex at seed 1 with k = 16, 64 and
+300; and the refusals of 30 `A`s and of a seeded random 300-letter
+sequence.
 
 This process imports no part of wmorse. A child starts as a copy of its
 parent's memory, so its max RSS is at least the parent's; the complex
-documents and the cell counts come from one preparing child instead,
-and the record gives this process's own max RSS as that floor.
+documents, the steps files and the cell counts come from one preparing
+child instead, and the record gives this process's own max RSS as that
+floor.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ def refusal_sequence() -> str:
 
 
 def prepare(directory: str) -> None:
-    """Write the complex documents into directory; print the cells per dimension of each input."""
+    """Write the complex and steps documents into directory; print the cells per dimension of each input."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from generators import prime_weight_complex
     from wmorse.documents import dump_complex_document
@@ -67,6 +72,9 @@ def prepare(directory: str) -> None:
     for t in (1, 3):
         K, names = build_woc(COLLAPSED, weights, t)
         dump_complex_document(os.path.join(directory, f"{COLLAPSED}-{t}.json"), K, dict(enumerate(names)))
+        # the first free face in (dim, lex) order: one step, then the rest of the complex is kept
+        free = next(s for s in K if K.free_coface(s) is not None)
+        Path(directory, f"{COLLAPSED}-{t}-steps.json").write_text(json.dumps([list(free)]) + "\n")
     for k in PRIME_KS:
         K = prime_weight_complex(PRIME_SEED, k=k)
         sizes[f"prime-{k}"] = cells(K)
@@ -82,6 +90,12 @@ def rows(directory: str, sizes: dict) -> list[tuple[str, list[str], list[int] | 
     out += [(f"collapse --auto-greedy {COLLAPSED} type {t}",
              ["collapse", os.path.join(directory, f"{COLLAPSED}-{t}.json"), "--auto-greedy"], sizes[COLLAPSED])
             for t in (1, 3)]
+    out += [(f"collapse --steps one free pair {COLLAPSED} type {t}",
+             ["collapse", os.path.join(directory, f"{COLLAPSED}-{t}.json"),
+              "--steps", os.path.join(directory, f"{COLLAPSED}-{t}-steps.json")], sizes[COLLAPSED])
+            for t in (1, 3)]
+    out += [(f"homology {COLLAPSED} type 1 document",
+             ["homology", os.path.join(directory, f"{COLLAPSED}-1.json")], sizes[COLLAPSED])]
     out += [(f"homology prime-weight seed {PRIME_SEED} k={k}",
              ["homology", os.path.join(directory, f"prime-{k}.json")], sizes[f"prime-{k}"])
             for k in PRIME_KS]

@@ -15,7 +15,7 @@ Negative weights are allowed; divisibility ignores sign.
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Iterable, Iterator, KeysView, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, KeysView, Mapping, Sequence
 
 from .errors import (
     DivisibilityViolation,
@@ -82,15 +82,50 @@ def closure(generators: Iterable[Simplex]) -> set[Simplex]:
     return out
 
 
+def _exact_ids(cells: Iterable[Iterable]) -> bool:
+    # one pass: is every vertex id of every cell an exact int >= 0 (no bool, float or Fraction)?
+    ids = list(chain.from_iterable(cells))
+    return not set(map(type, ids)) - {int} and min(ids, default=0) >= 0
+
+
+def _check_vertex_ids(cells: Collection[Simplex]) -> None:
+    # on a miss simplex() names the first bad cell in repr order, and passes an int subclass
+    if () in cells or not _exact_ids(cells):
+        for s in sorted(cells, key=repr):
+            simplex(s)
+
+
+def _record_table(entries: Iterable[tuple[Iterable[int], object]]) -> dict[Simplex, object]:
+    # simplex -> value, each record sorted once; simplex() names one that cannot be sorted or repeats
+    table = {}
+    for vs, value in entries:
+        try:
+            s = tuple(sorted(vs := tuple(vs)))
+            fresh = len(set(s)) == len(s) and s not in table
+        except TypeError:
+            fresh = False
+        if not fresh:
+            simplex(vs)
+            _check_vertex_ids(table)  # (True,) == (1,): an earlier record may hold the bad id
+            raise DuplicateSimplex(s)
+        table[s] = value
+    return table
+
+
 class SimplicialComplex:
     """A finite face-closed set of simplices.
 
-    Construction sorts each dimension into lex order, maps each simplex
-    to its position there, and lists the face table: each simplex's
-    codimension-1 faces, in lex order, by position in the dimension
-    below. A missing face fails its lookup: that closure check, enough
-    by induction, names the first simplex in (dim, lex) order that
-    misses one. Iteration and simplices follow (dim, lex) order.
+    Construction is where vertex ids are checked: one pass over every
+    vertex of every given cell, before any sort or lookup compares them,
+    refuses what simplex() refuses (a bool, a float, a Fraction, a
+    negative id, the empty cell), with simplex()'s message for the first
+    bad cell in repr order. Then it sorts each dimension into lex order,
+    maps each simplex to its position there, and lists the face table:
+    each simplex's codimension-1 faces, in lex order, by position in the
+    dimension below. A missing face fails its lookup: that closure
+    check, enough by induction, names the first simplex in (dim, lex)
+    order that misses one. Iteration and simplices follow (dim, lex)
+    order.
 
     Coface queries (cofacets, proper_cofaces, is_maximal, free_coface,
     maximal_simplices) read the face table inverted, which the first
@@ -101,17 +136,12 @@ class SimplicialComplex:
     __slots__ = ("_position", "_by_dim", "_faces", "_cofacets")
 
     def __init__(self, simplices: Iterable[Simplex]):
+        cells = list(map(tuple, simplices))
+        _check_vertex_ids(cells)  # as given: the set merges (0, True) into (0, 1), and faces match by hash
         by_dim: dict[int, list[Simplex]] = {}
-        for s in set(map(tuple, simplices)):
+        for s in set(cells):
             by_dim.setdefault(len(s) - 1, []).append(s)
-        for s in chain(by_dim.get(-1, ()), by_dim.get(0, ())):
-            simplex(s)  # checks the vertex ids, before sorting compares them
-        try:
-            self._by_dim = {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
-        except TypeError:  # a cell above the vertices mixes vertex types; name one as simplex() does
-            for s in sorted(chain.from_iterable(by_dim.values()), key=repr):
-                simplex(s)
-            raise
+        self._by_dim = {d: tuple(sorted(by_dim[d])) for d in sorted(by_dim)}
         self._position: dict[Simplex, int] = {}
         self._faces: dict[int, tuple[tuple[int, ...], ...]] = {}
         index = self._position.__getitem__
@@ -283,12 +313,20 @@ class WeightedComplex(SimplicialComplex):
     def restrict(self, members: Iterable[Simplex]) -> "WeightedComplex":
         """Sub-complex on the given simplices, keeping their weights.
 
-        Raises NotFaceClosed if the selection is not a complex.
+        Raises NotFaceClosed if the selection is not a complex, and
+        ValueError naming the first given simplex that this complex does
+        not hold.
         """
-        selected = SimplicialComplex(members)
-        return WeightedComplex(selected, [list(map(self.weight, cells)) for cells in selected._by_dim.values()])
+        selected = SimplicialComplex(members := list(members))
+        try:
+            table = [list(map(self.weight, cells)) for cells in selected._by_dim.values()]
+        except KeyError:
+            outside = next(s for s in members if s not in self)
+            raise ValueError(f"{list(outside)} is not a simplex of this complex") from None
+        return WeightedComplex(selected, table)
 
     def without(self, removed: Iterable[Simplex]) -> "WeightedComplex":
+        """This complex less the given simplices; one it does not hold is ignored."""
         gone = {tuple(s) for s in removed}
         return self.restrict(self.simplices - gone)
 
@@ -296,15 +334,14 @@ class WeightedComplex(SimplicialComplex):
 def validate_complex(entries: Iterable[tuple[Iterable[int], int]]) -> WeightedComplex:
     """Build a weighted complex from (vertices, weight) records.
 
-    Vertex tuples are canonicalized, and a record repeating a simplex or
-    a vertex is refused; every face needs its own record. This is where
-    simplex->weight records become WeightedComplex's table, by position.
+    Each record's vertices are sorted once, and a record repeating a
+    simplex or a vertex is refused; every face needs its own record. The
+    vertex ids are left to SimplicialComplex's one pass over all cells,
+    except in a record that cannot be sorted or that repeats: simplex()
+    names that one, so a bad id is reported before the repeat. This is
+    where simplex->weight records become WeightedComplex's table, by
+    position.
     """
-    weight: dict[Simplex, int] = {}
-    for vertices, w in entries:
-        s = simplex(vertices)
-        if s in weight:
-            raise DuplicateSimplex(s)
-        weight[s] = w
+    weight = _record_table(entries)
     K = SimplicialComplex(weight)
     return WeightedComplex(K, [[weight[s] for s in cells] for cells in K._by_dim.values()])

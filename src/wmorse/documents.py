@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 import re
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .complexes import Simplex, SimplicialComplex, WeightedComplex, simplex, validate_complex
+from .complexes import Simplex, SimplicialComplex, WeightedComplex, _exact_ids, simplex, validate_complex
 from .errors import DocumentError, quoted
 
 if TYPE_CHECKING:
@@ -76,9 +76,8 @@ def _parse_int(literal: str):
     return _LongLiteral(literal) if len(literal.lstrip("-")) > MAX_DIGITS else int(literal)
 
 
-def _refuse_long(x, where: str) -> None:
-    if isinstance(x, _LongLiteral):
-        raise DocumentError(f"{where}: integer literal with more than {MAX_DIGITS} digits")
+def _too_long(where: str) -> DocumentError:
+    return DocumentError(f"{where}: integer literal with more than {MAX_DIGITS} digits")
 
 
 def _read_bytes(path: str) -> bytes:
@@ -121,16 +120,37 @@ def _load_json(path: str, exact_decimals: bool = False):
 
 
 def _vertex_list(record, where: str):
+    """The record's nonempty list of non-negative int vertex ids, else an error naming where.
+
+    Only the records of a document that _records' one pass cannot take
+    come here, and the generators of a constant-weight document; where,
+    the file and the entry, is built for those alone.
+    """
     if not isinstance(record, dict) or "vertices" not in record:
         raise DocumentError(f"{where}: expected an object with a 'vertices' list")
     vs = record["vertices"]
     if not isinstance(vs, list) or not vs:
         raise DocumentError(f"{where}: 'vertices' must be a nonempty list")
     for v in vs:
-        _refuse_long(v, where)
+        if isinstance(v, _LongLiteral):
+            raise _too_long(where)
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise DocumentError(f"{where}: vertex ids must be non-negative integers")
     return vs
+
+
+def _records(records: list, path: str, array: str, field: str, check) -> Iterable[tuple[list, object]]:
+    # (vertices, field) of each record: one pass over the records and all their vertex ids takes
+    # a document where each holds a nonempty list of exact ints >= 0 and an exact int field;
+    # otherwise check(record, where) goes through them in order and names the first bad one
+    try:
+        lists, fields = [r["vertices"] for r in records], [r[field] for r in records]
+    except (TypeError, KeyError):
+        lists = None
+    if lists is not None and set(map(type, lists)) <= {list} and all(lists) \
+            and set(map(type, fields)) <= {int} and _exact_ids(lists):
+        return zip(lists, fields)
+    return [check(r, f"{path}: {array}[{i}]") for i, r in enumerate(records)]
 
 
 def load_complex_document(
@@ -171,18 +191,18 @@ def load_complex_document(
         table = [[constant_weight] * len(complex.of_dim(d)) for d in range(complex.dimension + 1)]
         return WeightedComplex(complex, table), names
 
-    entries = []
-    for i, r in enumerate(records):
-        where = f"{path}: simplices[{i}]"
+    def weighted(r, where):
         vs = _vertex_list(r, where)
         if "weight" not in r:
             raise DocumentError(f"{where}: missing 'weight'")
         w = r["weight"]
-        _refuse_long(w, where)
+        if isinstance(w, _LongLiteral):
+            raise _too_long(where)
         if isinstance(w, bool) or not isinstance(w, int):
             raise DocumentError(f"{where}: 'weight' must be an integer")
-        entries.append((vs, w))
-    return validate_complex(entries), names
+        return vs, w
+
+    return validate_complex(_records(records, path, "simplices", "weight", weighted)), names
 
 
 def complex_document(K: WeightedComplex, names: Mapping[int, str] | None = None) -> dict:
@@ -214,8 +234,8 @@ def load_steps_document(path: str) -> list[Simplex]:
     for i, entry in enumerate(raw):
         if not isinstance(entry, list):
             raise DocumentError(f"{path}: entry {i} is not a list of vertex ids")
-        for v in entry:
-            _refuse_long(v, f"{path}: entry {i}")
+        if _LongLiteral in map(type, entry):
+            raise _too_long(f"{path}: entry {i}")
     return [simplex(entry) for entry in raw]
 
 
@@ -224,8 +244,11 @@ def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
 
     Only what names the file and the entry is checked here: the JSON
     shape, each record's vertex list and value type, and the digit
-    bounds of a text value. validate_morse takes the records in document
-    order and refuses a repeated simplex, a missing one, or a violation.
+    bounds of a text value. A document of integer values passes in one
+    pass over all records and vertex ids; one with text values, or with
+    a defect, is read record by record. validate_morse takes the records
+    in document order and refuses a repeated simplex, a missing one, or
+    a violation.
     """
     from .morse import validate_morse
 
@@ -235,17 +258,17 @@ def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
     records = doc["values"]
     if not isinstance(records, list):
         raise DocumentError(f"{path}: 'values' must be an array")
-    entries = []
-    for i, r in enumerate(records):
-        where = f"{path}: values[{i}]"
+
+    def valued(r, where):
         vs = _vertex_list(r, where)
         if "value" not in r:
             raise DocumentError(f"{where}: missing 'value'")
         v = r["value"]
         if not isinstance(v, (int, str)) or isinstance(v, bool):
             raise DocumentError(f"{where}: 'value' must be an integer or a string")
-        entries.append((vs, v if isinstance(v, int) else parse_rational(v, where)))
-    return validate_morse(K, entries)
+        return vs, v if isinstance(v, int) else parse_rational(v, where)
+
+    return validate_morse(K, _records(records, path, "values", "value", valued))
 
 
 def parse_weights_spec(spec: str) -> dict[str, int]:

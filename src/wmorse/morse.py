@@ -47,10 +47,9 @@ from .collapse import (
     check_preservation,
     _Collapser,
 )
-from .complexes import Simplex, WeightedComplex, simplex
+from .complexes import Simplex, WeightedComplex, _check_vertex_ids, _record_table
 from .documents import parse_rational
 from .errors import (
-    DuplicateSimplex,
     ExtraCritical,
     HypothesisFailed,
     InternalInvariantError,
@@ -181,23 +180,21 @@ def validate_morse(K: WeightedComplex, values: Mapping | Iterable[tuple]) -> Mor
 
     values is a mapping or an iterable of (vertices, value) records, as
     validate_complex takes them. This is where records become a
-    MorseFunction: each simplex is canonicalized once, in whatever
-    vertex order, and must be named once; each value is converted once
+    MorseFunction: each simplex is put in canonical order once, in
+    whatever vertex order it comes, and must be named once; the vertex
+    ids of every record, also of a cell outside K, are checked in one
+    pass as SimplicialComplex checks them; each value is converted once
     by to_fraction. values must cover all of K (extra entries are
     allowed and kept); the error names the first five cells missing.
     All violations are collected before raising, so the error lists
     every offending cell with its witnesses.
     """
-    table = {}
-    for s, v in values.items() if isinstance(values, Mapping) else values:
-        s = simplex(s)
-        if s in table:
-            raise DuplicateSimplex(s)
-        table[s] = to_fraction(v)
+    table = _record_table(values.items() if isinstance(values, Mapping) else values)
+    _check_vertex_ids(table)  # K's constructor checked only the cells of K
+    f = MorseFunction({s: to_fraction(v) for s, v in table.items()})
     missing = [s for s in K if s not in table]
     if missing:
         raise ValueError(f"no Morse value for {', '.join(str(list(s)) for s in missing[:5])}")
-    f = MorseFunction(table)
     scan = _scan_of(K, f)
     if scan.violations:
         raise MorseViolation(scan.violations)

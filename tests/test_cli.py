@@ -19,6 +19,7 @@ import pytest
 
 import wmorse
 import wmorse.cli
+import wmorse.complexes
 import wmorse.documents
 import wmorse.morse
 import wmorse.sequence
@@ -410,20 +411,24 @@ def test_morse_document_rejects_duplicates(tmp_path, capsys):
     assert err == "error: DuplicateSimplex: simplex [0] listed twice\n"
 
 
-def test_morse_document_canonicalizes_each_record_once(tmp_path, monkeypatch):
+def test_documents_load_with_no_simplex_call_per_record(tmp_path, monkeypatch):
+    # each record is sorted once; its vertex ids are checked in one pass over all cells
     K = weighted_disk(2)
-    doc = write_complex(tmp_path / "disk.json", K)
-    mdoc = write_morse(tmp_path / "f.json", [(s, len(s) - 1) for s in reversed(list(K))])
+    doc = write_raw(tmp_path / "disk.json", {"simplices": [{"vertices": list(s[::-1]), "weight": w}
+                                                           for s, w in reversed(K.items())]})
+    mdoc = write_morse(tmp_path / "f.json", [(s[::-1], len(s) - 1) for s in reversed(list(K))])
     calls = []
 
     def counted(vertices):
         calls.append(vertices)
         return simplex(vertices)
 
-    for module in (wmorse.documents, wmorse.morse):
+    for module in (wmorse.complexes, wmorse.documents):
         monkeypatch.setattr(module, "simplex", counted)
-    f = wmorse.documents.load_morse_document(mdoc, K)
-    assert len(calls) == len(K) == 7
+    loaded, _ = load_complex_document(doc)
+    f = wmorse.documents.load_morse_document(mdoc, loaded)
+    assert calls == []
+    assert loaded == K
     assert [f(s) for s in K] == [len(s) - 1 for s in K]
 
 

@@ -1,7 +1,9 @@
 """Simplicial complex construction, validation, and face bookkeeping."""
 
 import json
+import re
 from collections.abc import Mapping
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -72,6 +74,17 @@ class TestSimplicialComplex:
                       [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2), (0, 1, "a")]):
             with pytest.raises(ValueError, match=r"^vertex ids must be non-negative integers, got 'a'$"):
                 SimplicialComplex(cells)
+
+    def test_every_cells_vertex_ids_are_checked(self):
+        # True, 1.0 and Fraction(1) equal 1 and hash as 1, so the edge (0, bad) and the
+        # triangle (0, bad, 2) find their faces; each is refused alone and beside its int twin
+        for bad in (True, 1.0, Fraction(1)):
+            message = rf"^vertex ids must be non-negative integers, got {re.escape(repr(bad))}$"
+            for twin, cell in [((0, 1), (0, bad)), ((0, 1, 2), (0, bad, 2))]:
+                faces_of = sorted(closure([twin]) - {twin})
+                for cells in (faces_of + [cell], faces_of + [twin, cell], faces_of + [cell, twin]):
+                    with pytest.raises(ValueError, match=message):
+                        SimplicialComplex(cells)
 
     def test_edges_must_be_strictly_increasing(self):
         # a repeat is a DuplicateVertex, as in simplex()
@@ -256,6 +269,26 @@ class TestWeightedComplex:
         with pytest.raises(DuplicateSimplex):
             validate_complex([([0], 1), ([0], 1)])
 
+    def test_records_with_a_bad_vertex_id_are_refused_as_simplex_refuses_them(self):
+        for bad in (True, 1.0, Fraction(1)):
+            message = rf"^vertex ids must be non-negative integers, got {re.escape(repr(bad))}$"
+            for twin, cell in [((0, 1), (0, bad)), ((0, 1, 2), (0, bad, 2))]:
+                faces_of = sorted(closure([twin]) - {twin})
+                for cells in (faces_of + [cell], faces_of + [twin, cell], faces_of + [cell, twin]):
+                    with pytest.raises(ValueError, match=message):
+                        validate_complex((list(s), 1) for s in cells)
+        # a record that both repeats a cell and holds a bad id is named for the id, in either order
+        for records in ([([1], 1), ([True], 1)], [([True], 1), ([1], 1)]):
+            with pytest.raises(ValueError, match=r"^vertex ids must be non-negative integers, got True$"):
+                validate_complex(records)
+        # a record that cannot be sorted, or repeats a vertex, is named as simplex() names it
+        with pytest.raises(ValueError, match=r"^vertex ids must be non-negative integers, got 'a'$"):
+            validate_complex([([0], 1), ([0, "a"], 1)])
+        with pytest.raises(DuplicateVertex, match=r"^repeated vertex in \[1, 0, 1\]$"):
+            validate_complex([([0], 1), ([1], 1), ([1, 0, 1], 1)])
+        with pytest.raises(ValueError, match="at least one vertex"):
+            validate_complex([([0], 1), ([], 1)])
+
     def test_restrict_and_without(self):
         K = validate_complex([
             ([0], 1), ([1], 1), ([2], 1),
@@ -267,6 +300,15 @@ class TestWeightedComplex:
         assert L.weight((0, 1)) == 2
         M = K.restrict([(0,), (1,), (0, 1)])
         assert list(M) == [(0,), (1,), (0, 1)]
+
+    def test_restrict_names_the_first_simplex_it_does_not_hold(self):
+        K = validate_complex((s, 1) for s in closure([(0, 1, 2)]))
+        with pytest.raises(ValueError, match=r"^\[5\] is not a simplex of this complex$"):
+            K.restrict([(0,), (5,)])
+        with pytest.raises(ValueError, match=r"^\[7\] is not a simplex of this complex$"):
+            K.restrict([(7,), (0,), (5,)])
+        # without ignores what the complex does not hold
+        assert K.without([(5,), (0, 1, 2)]) == K.restrict(closure([(0, 1), (0, 2), (1, 2)]))
 
     def test_items_and_equality(self):
         K = validate_complex([([0], 3)])

@@ -3,6 +3,7 @@
 import importlib
 import json
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -120,6 +121,27 @@ class TestValidateMorse:
         # an exact repeat, which a mapping cannot hold, is refused like a reordered one
         with pytest.raises(DuplicateSimplex, match=r"^simplex \[0\] listed twice$"):
             validate_morse(K, records + [((0,), 0)])
+
+    def test_records_with_a_bad_vertex_id_are_refused_as_simplex_refuses_them(self):
+        # in either input form, and for a cell outside K too
+        K = full_simplex(2)
+        for bad in (True, 1.0, Fraction(1)):
+            message = rf"^vertex ids must be non-negative integers, got {re.escape(repr(bad))}$"
+            for twin, cell in [((0, 1), (0, bad)), ((0, 1, 2), (0, bad, 2))]:
+                others = [(s, 0) for s in K if s != twin]
+                with pytest.raises(ValueError, match=message):
+                    validate_morse(K, dict(others + [(cell, 0)]))
+                for extra in ([(cell, 0)], [(twin, 0), (cell, 0)], [(cell, 0), (twin, 0)]):
+                    with pytest.raises(ValueError, match=message):
+                        validate_morse(K, others + extra)
+            with pytest.raises(ValueError, match=message):
+                validate_morse(K, {**{s: 0 for s in K}, (5, bad): 0})
+        # a record that both repeats a cell and holds a bad id is named for the id, in either order
+        for records in ([([1], 1), ([True], 1)], [([True], 1), ([1], 1)]):
+            with pytest.raises(ValueError, match=r"^vertex ids must be non-negative integers, got True$"):
+                validate_morse(K, [(s, 0) for s in K if s != (1,)] + records)
+        with pytest.raises(ValueError, match=r"^vertex ids must be non-negative integers, got 'a'$"):
+            validate_morse(K, [(s, 0) for s in K] + [((0, "a"), 0)])
 
     def test_two_high_faces_rejected(self):
         K = validate_complex([([0], 1), ([1], 1), ([0, 1], 1)])
