@@ -12,7 +12,16 @@ homology report (useful to keep long-chain inputs tractable). It is
 read only by calls that print such a report.
 
 Each subcommand imports the layers it runs when it is called, so that
---version loads no layer and collapse loads neither homology nor Morse.
+--version loads no layer, collapse loads neither homology nor Morse,
+and morse --classify loads neither homology nor collapse.
+
+The console entry point ends the process with os._exit once main()
+has returned or argparse has exited, after flushing stdout and then
+stderr, so no call pays for the interpreter's teardown of its modules.
+That skips nothing the program needs: it registers no atexit hook,
+starts no thread or process, and closes the one file it writes
+(--emit-complex) before main() returns. An exception that escapes
+main() still ends the process the ordinary way, with its traceback.
 """
 
 from __future__ import annotations
@@ -422,14 +431,18 @@ def entrypoint() -> None:
     try:
         try:
             code = main()
-        finally:  # also when argparse exits for --version or --help
+        except SystemExit as e:  # argparse: --version, --help and usage errors
+            if not isinstance(e.code, int):
+                raise
+            code = e.code
+        finally:
             sys.stdout.flush()
     except BrokenPipeError:
-        # the reader is gone; the interpreter flushes stdout once more on
-        # exit, so point it at devnull first ("Note on SIGPIPE", signal docs)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(141)  # 128 + SIGPIPE, as a shell reports a writer it killed
-    sys.exit(code)
+        code = 141  # the reader is gone: 128 + SIGPIPE, as a shell reports a writer it killed
+    if sys.stderr is not None:  # None when started with descriptor 2 closed
+        sys.stderr.flush()
+    # no teardown: main() leaves no open file, thread or atexit hook (see the module docstring)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -38,15 +38,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .collapse import (
-    CollapseStep,
-    PreservationVerdict,
-    Verdict,
-    check_preservation,
-    _Collapser,
-)
 from .complexes import Simplex, WeightedComplex, _check_vertex_ids, _record_table
 from .documents import parse_rational
 from .errors import (
@@ -58,7 +51,10 @@ from .errors import (
     NotCritical,
     WSimpleFailed,
 )
-from .homology import RemovalReport, _removal_report
+
+if TYPE_CHECKING:
+    from .collapse import CollapseStep, PreservationVerdict
+    from .homology import RemovalReport
 
 
 def to_fraction(value) -> Fraction:
@@ -235,6 +231,8 @@ class MorseCollapse(NamedTuple):
 
     @property
     def all_same_weight(self) -> bool:
+        from .collapse import Verdict
+
         return all(v.verdict == Verdict.SAME_WEIGHT for v in self.verdicts)
 
 
@@ -266,6 +264,8 @@ def _morse_collapse(K: WeightedComplex, f: MorseFunction, a: Fraction, b: Fracti
                     start: WeightedComplex, end: WeightedComplex) -> MorseCollapse:
     # start is K(b) and end is K(a); the callers have checked that every
     # cell with value in (a, b] is non-critical and w-simple
+    from .collapse import Verdict, _Collapser, check_preservation
+
     scan = _scan_of(K, f)
     pair, entry = scan.classification.pair, scan.entry
     # start's cells grouped by the level they enter at, walked from the top down to a
@@ -368,6 +368,8 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
     collapse_below = _morse_collapse(K, f, a, a_prime, below, level_subcomplex(K, f, a) if a < a_prime else below)
 
     # the set identity above already shows that top minus alpha is below
+    from .homology import _removal_report
+
     report = _removal_report(top, below, alpha) if K.weight(alpha) != 0 else None
 
     return CriticalWindow(

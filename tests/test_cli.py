@@ -1307,6 +1307,48 @@ def test_no_stdout_at_start_still_runs():
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+@pytest.mark.parametrize("argv", [["bogus"], ["sequence", "CTC", "--weights", "A=0"]],
+                         ids=["usage-error", "validation-error"])
+def test_no_stderr_at_start_still_refuses_with_exit_2(argv):
+    # started with descriptor 2 closed, the interpreter sets sys.stderr to None
+    proc = run_entrypoint(*argv, entry="import sys; sys.stderr = None; " + ENTRY)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["bogus"], 2),
+    (["homology", "{missing}"], 2),
+    (["collapse", "{doc}", "--steps", "{steps}"], 3),
+], ids=["version", "help", "usage-error", "validation-error", "non-free-step"])
+def test_console_entry_exits_with_the_code_and_text_of_main(tmp_path, capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to this width on both sides
+    paths = {"missing": str(tmp_path / "missing.json"),
+             "doc": write_complex(tmp_path / "triangle.json", filled_triangle()),
+             "steps": write_raw(tmp_path / "steps.json", [[0]])}
+    argv = [a.format(**paths) for a in argv]
+    proc = run_entrypoint(*argv)
+    try:
+        returned = main(argv)
+    except SystemExit as e:
+        returned = e.code
+    captured = capsys.readouterr()
+    assert returned == code
+    assert (captured.out if code == 0 else captured.err).strip()
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, captured.out, captured.err)
+
+
+def test_console_entry_writes_the_whole_report_and_document(tmp_path, capsys):
+    # 15,060 cells: the emitted document is about 1.8 MB, all of it on disk when the child is gone
+    argv = ["sequence", "ACGTACGTA", "--weights", DNA, "--woc-type", "3", "--json", "--emit-complex"]
+    proc = run_entrypoint(*argv, str(tmp_path / "child.json"))
+    code, out, err = run_cli(capsys, *argv, str(tmp_path / "main.json"))
+    assert (code, err) == (0, "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out.encode(), b"")
+    assert (tmp_path / "child.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+
 def test_ascii_locale_reads_and_writes_utf8(tmp_path):
     doc = tmp_path / "named.json"
     doc.write_bytes(b'{"simplices": [{"vertices": [0], "weight": 1}], "vertex_names": {"0": "\xc3\xa9"}}')

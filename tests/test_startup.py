@@ -1,7 +1,8 @@
 """What a command line call loads, and the package root's lazy names.
 
 Each call runs in a fresh interpreter through wmorse.cli.entrypoint,
-the console script's entry, and reports sys.modules once it is done.
+the console script's entry, and reports sys.modules when entrypoint
+ends the process.
 """
 
 import json
@@ -22,14 +23,17 @@ MODULES = ("complexes", "documents", "errors", "homology", "snf", "collapse", "m
 # no subcommand needs them: the result records are NamedTuples
 NEVER = {"dataclasses", "inspect"}
 
+# entrypoint ends the process with os._exit; the probe's stand-in reports the
+# exit code and the loaded modules first, so a call that returns or raises
+# instead leaves no report and fails
 PROBE = (
-    "import sys\n"
+    "import os, sys\n"
     "from wmorse.cli import entrypoint\n"
-    "try:\n"
-    "    entrypoint()\n"
-    "except SystemExit as e:\n"
-    "    code = e.code\n"
-    "print(code, *sorted(sys.modules), file=sys.stderr)\n"
+    "def report(code, _exit=os._exit):\n"
+    "    print('os._exit', code, *sorted(sys.modules), file=sys.stderr, flush=True)\n"
+    "    _exit(code)\n"
+    "os._exit = report\n"
+    "entrypoint()\n"
 )
 
 
@@ -38,7 +42,9 @@ def _run(*argv):
     env.pop("WMORSE_MAX_DIM", None)
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
-    code, *modules = proc.stderr.split()
+    assert proc.stderr.startswith("os._exit "), proc.stderr
+    _, code, *modules = proc.stderr.split()
+    assert proc.returncode == int(code)
     return int(code), proc.stdout, set(modules)
 
 
@@ -59,7 +65,8 @@ CALLS = {
     "homology": (["homology", "{doc}"], ["homology"], ["wmorse.collapse", "wmorse.morse", "wmorse.snf"]),
     "sequence": (["sequence", "CTC", "--weights", "A=1,C=2,G=3,T=4", "--woc-type", "2"],
                  ["sequence"], ["wmorse.collapse", "wmorse.morse", "wmorse.snf"]),
-    "morse-classify": (["morse", "{doc}", "{mdoc}", "--classify"], ["morse"], ["wmorse.sequence", "wmorse.snf"]),
+    "morse-classify": (["morse", "{doc}", "{mdoc}", "--classify"], ["morse"],
+                       ["wmorse.sequence", "wmorse.snf", "wmorse.homology", "wmorse.collapse"]),
     "morse-window": (["morse", "{doc}", "{mdoc}", "--window", "3/2", "2", "--cell", "0,1,2"],
                      ["morse"], ["wmorse.sequence", "wmorse.snf"]),
 }
