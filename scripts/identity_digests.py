@@ -1,4 +1,4 @@
-"""Print sha256 digests of collapse, removal and Morse results over seeded inputs.
+"""Print sha256 digests of collapse, removal, Morse and subcomplex results over seeded inputs.
 
 Run from the repository root, on two checkouts, to show that a refactor
 left every result unchanged:
@@ -16,7 +16,15 @@ a fixed order:
             critical_window on seeded complexes whose Morse values come
             from conftest.greedy_morse_values, with and without split.
             Also the refusal of random values that are not Morse. A
-            refused call is recorded by its error's class and text.
+            refused call is recorded by its error's class and text;
+  subcomplex
+            every complex derived from a parent's positions, recorded
+            by its cells, face table and weights per dimension: the
+            restriction to random closed selections, the removal of
+            random maximal simplices, the greedy collapse, a replay of
+            its first steps and every level complex of the greedy Morse
+            function, over seeded random_weighted_complex inputs with
+            zero stars at 0.3.
 
 The inputs come from tests/generators.py and tests/conftest.py, so the
 digests move only when the library's results or those helpers change.
@@ -34,6 +42,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # the recorded digests hold for these seeds only, so they are fixed
 COLLAPSE_SEEDS = range(1500)
 MORSE_SEEDS = range(500)
+SUBCOMPLEX_SEEDS = range(500)
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import constant_table, greedy_morse_values  # noqa: E402
@@ -50,6 +59,7 @@ from wmorse import (  # noqa: E402
     morse_collapse,
     validate_morse,
 )
+from wmorse.complexes import closure  # noqa: E402
 
 
 def collapse_records(seeds):
@@ -96,6 +106,27 @@ def morse_records(seeds):
                                       w.collapse_above.steps, w.collapse_below.steps)
 
 
+def tables(L):
+    """The cells, face table and weights of L, dimension by dimension."""
+    return [(L.of_dim(n), L.face_indices(n), L.weights_of_dim(n)) for n in range(L.dimension + 1)]
+
+
+def subcomplex_records(seeds):
+    for seed in seeds:
+        rng = Random(seed)
+        K = random_weighted_complex(rng, zero_star_chance=0.3)
+        cells, top = list(K), K.maximal_simplices()
+        for _ in range(3):
+            yield seed, tables(K.restrict(closure(rng.sample(cells, rng.randint(0, len(cells))))))
+        yield tables(K.without(rng.sample(top, rng.randint(0, len(top)))))
+        end, applied = greedy_collapse(K)
+        yield tables(end)
+        yield tables(collapse_sequence(K, [step.sigma for step, _ in applied[:rng.randint(0, len(applied))]])[0])
+        f = validate_morse(K, greedy_morse_values(K)[0])
+        for c in f.distinct_values():
+            yield tables(level_subcomplex(K, f, c))
+
+
 def digest(records) -> str:
     h = hashlib.sha256()
     for record in records:
@@ -107,6 +138,7 @@ def digest(records) -> str:
 def main() -> None:
     print("collapse", digest(collapse_records(COLLAPSE_SEEDS)))
     print("morse", digest(morse_records(MORSE_SEEDS)))
+    print("subcomplex", digest(subcomplex_records(SUBCOMPLEX_SEEDS)))
 
 
 if __name__ == "__main__":

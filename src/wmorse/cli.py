@@ -411,17 +411,16 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValidationError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        message, code = f"error: {type(e).__name__}: {e}", 2
     except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        message, code = f"error: {e}", 2
     except HypothesisError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
+        message, code = f"error: {type(e).__name__}: {e}", 3
     except InternalInvariantError as e:
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        message, code = f"internal error: {type(e).__name__}: {e}", 1
+    if sys.stderr is not None:  # None with descriptor 2 closed, where print() would write to stdout
+        print(message, file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

@@ -17,7 +17,7 @@ greedy_collapse, collapse_sequence and morse.morse_collapse share one
 incremental state: a count of live cofacets by position in the
 complex's own index, which each collapse edits in O(dim), plus a heap
 of free faces. None of them rebuilds or rescans the complex per
-step; each builds its result complex once, at the end.
+step; each derives its result from K's positions once, at the end.
 elementary_collapse is the one-step operation on a whole complex.
 """
 
@@ -108,7 +108,7 @@ class _Collapser:
     smallest_free meets them.
 
     members, if given, is a subcomplex of K to start from; the other
-    cells of K start removed.
+    cells of K start removed. result() derives the live subcomplex.
     """
 
     def __init__(self, K: WeightedComplex, members: WeightedComplex | None = None):
@@ -123,13 +123,11 @@ class _Collapser:
                 for g in table[j]:
                     below[g] += 1
         self.size = len(K if members is None else members)
-        self._heap = [s for s in self.live() if self._is_free(s)]
+        self._heap = list(compress(K, [c == 1 for c in chain.from_iterable(count.values())]))
         heapq.heapify(self._heap)
 
-    def live(self):
-        """The live simplices, each dimension in lex order."""
-        return chain.from_iterable(compress(self._K.of_dim(d), (c >= 0 for c in here))
-                                   for d, here in self._count.items())
+    def result(self) -> WeightedComplex:
+        return self._K._select({d: [c >= 0 for c in here] for d, here in self._count.items()})
 
     def is_live(self, sigma: Simplex) -> bool:
         i = self._position.get(sigma)
@@ -182,7 +180,7 @@ def collapse_sequence(K: WeightedComplex, sigmas) -> tuple[
         except NotFreeFace:
             raise NotFreeFace(sigma, step_index=i) from None
         applied.append((step, check_preservation(K, step)))
-    return K.restrict(state.live()), applied
+    return state.result(), applied
 
 
 def greedy_collapse(K: WeightedComplex) -> tuple[
@@ -200,4 +198,4 @@ def greedy_collapse(K: WeightedComplex) -> tuple[
     while (sigma := state.smallest_free()) is not None:
         step = state.collapse(sigma)
         applied.append((step, check_preservation(K, step)))
-    return K.restrict(state.live()), applied
+    return state.result(), applied

@@ -14,7 +14,7 @@ Negative weights are allowed; divisibility ignores sign.
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from typing import Collection, Iterable, Iterator, KeysView, Mapping, Sequence
 
 from .errors import (
@@ -124,8 +124,10 @@ class SimplicialComplex:
     each simplex's codimension-1 faces, in lex order, by position in the
     dimension below. A missing face fails its lookup: that closure
     check, enough by induction, names the first simplex in (dim, lex)
-    order that misses one. Iteration and simplices follow (dim, lex)
-    order.
+    order that misses one. A subcomplex derived from a complex's
+    positions (without, restrict, collapse results, level complexes)
+    checks closure only, naming the same face. Iteration and simplices
+    follow (dim, lex) order.
 
     Coface queries (cofacets, proper_cofaces, is_maximal, free_coface,
     maximal_simplices) read the face table inverted, which the first
@@ -251,19 +253,38 @@ class SimplicialComplex:
         return up[0] if len(up) == 1 else None
 
     def without(self, removed: Iterable[Simplex]) -> "SimplicialComplex":
-        gone = {tuple(s) for s in removed}
-        return SimplicialComplex(self.simplices - gone)
+        """This complex less the given simplices; one it does not hold is ignored."""
+        gone = set(map(tuple, removed))
+        return self._select({d: [s not in gone for s in cells] for d, cells in self._by_dim.items()})
+
+    def _select(self, keep: Mapping[int, Sequence[bool]]) -> "SimplicialComplex":
+        out = object.__new__(type(self))  # keep[d][i] keeps of_dim(d)[i]; closure is the one check
+        out._position, out._by_dim, out._faces, out._cofacets = {}, {}, {}, None
+        number = {}  # kept position -> position in out, in the dimension below
+        for d, cells in self._by_dim.items():
+            rows = list(compress(range(len(cells)), keep[d]))
+            try:  # unrenumbered when no cell below was dropped; else the first kept cell to miss a face names it
+                faces = (tuple(map(self._faces[d].__getitem__, rows)) if len(number) == len(self.of_dim(d - 1))
+                         else tuple([tuple(map(number.__getitem__, self._faces[d][i])) for i in rows]))
+            except KeyError as missing:
+                raise NotFaceClosed(self._by_dim[d - 1][missing.args[0]]) from None
+            number = dict(zip(rows, range(len(rows))))
+            if rows:
+                out._by_dim[d], out._faces[d] = tuple(map(cells.__getitem__, rows)), faces
+                out._position.update(zip(out._by_dim[d], range(len(rows))))
+        return out
 
 
 class WeightedComplex(SimplicialComplex):
     """A simplicial complex together with a divisibility-compatible weight.
 
     weights[d][i] weighs complex.of_dim(d)[i], the table weights_of_dim
-    returns. Construction walks the cells once, in (dim, lex) order: each
-    needs an integer weight that every codimension-1 face's weight
+    returns. Construction walks the cells once, in (dim, lex) order:
+    each needs an integer weight that every codimension-1 face's weight
     divides, faces read off the face table in deletion order, and the
     first defect in that order is the one reported. The position map,
-    face table and cofacet index (if built) are the given complex's.
+    face table and cofacet index (if built) are the given complex's; a
+    derived subcomplex filters the weights by the same mask, unchecked.
     Instances are immutable; operations return new objects. Weights are
     Python ints, never floats. It never equals an unweighted complex.
     """
@@ -313,22 +334,19 @@ class WeightedComplex(SimplicialComplex):
     def restrict(self, members: Iterable[Simplex]) -> "WeightedComplex":
         """Sub-complex on the given simplices, keeping their weights.
 
-        Raises NotFaceClosed if the selection is not a complex, and
-        ValueError naming the first given simplex that this complex does
-        not hold.
+        Raises ValueError naming the first one this complex does not
+        hold, and NotFaceClosed if they are not a complex.
         """
-        selected = SimplicialComplex(members := list(members))
-        try:
-            table = [list(map(self.weight, cells)) for cells in selected._by_dim.values()]
-        except KeyError:
-            outside = next(s for s in members if s not in self)
-            raise ValueError(f"{list(outside)} is not a simplex of this complex") from None
-        return WeightedComplex(selected, table)
+        members = list(map(tuple, members))
+        _check_vertex_ids(members)  # (True,) == (1,): an unchecked id would find the cell (1,)
+        if outside := next((s for s in members if s not in self._position), None):
+            raise ValueError(f"{list(outside)} is not a simplex of this complex")
+        return self.without(self._position.keys() - members)
 
-    def without(self, removed: Iterable[Simplex]) -> "WeightedComplex":
-        """This complex less the given simplices; one it does not hold is ignored."""
-        gone = {tuple(s) for s in removed}
-        return self.restrict(self.simplices - gone)
+    def _select(self, keep: Mapping[int, Sequence[bool]]) -> "WeightedComplex":
+        out = super()._select(keep)
+        out._weights = {d: tuple(compress(self._weights[d], keep[d])) for d in out._by_dim}
+        return out
 
 
 def validate_complex(entries: Iterable[tuple[Iterable[int], int]]) -> WeightedComplex:

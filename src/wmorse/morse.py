@@ -211,7 +211,7 @@ def level_subcomplex(K: WeightedComplex, f: MorseFunction, c) -> WeightedComplex
     """K(c): the simplices of K whose entry value is at most c."""
     c = to_fraction(c)
     entry = _scan_of(K, f).entry
-    return K.restrict(s for d, values in entry.items() for s, e in zip(K.of_dim(d), values) if e <= c)
+    return K._select({d: [e <= c for e in values] for d, values in entry.items()})
 
 
 class MorseCollapse(NamedTuple):

@@ -1280,10 +1280,10 @@ ENTRY = "from wmorse.cli import entrypoint; entrypoint()"
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
-def run_entrypoint(*argv, stdout=subprocess.PIPE, entry=ENTRY, **env):
+def run_entrypoint(*argv, stdout=subprocess.PIPE, entry=ENTRY, preexec_fn=None, **env):
     src = os.path.dirname(os.path.dirname(wmorse.__file__))
     return subprocess.run([sys.executable, "-c", entry, *argv], stdout=stdout, stderr=subprocess.PIPE,
-                          env=dict(os.environ, PYTHONPATH=src, **env), timeout=60)
+                          env=dict(os.environ, PYTHONPATH=src, **env), preexec_fn=preexec_fn, timeout=60)
 
 
 @pytest.mark.parametrize("unbuffered, argv", [
@@ -1313,6 +1313,19 @@ def test_no_stderr_at_start_still_refuses_with_exit_2(argv):
     # started with descriptor 2 closed, the interpreter sets sys.stderr to None
     proc = run_entrypoint(*argv, entry="import sys; sys.stderr = None; " + ENTRY)
     assert (proc.returncode, proc.stderr) == (2, b"")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["sequence", "CTC", "--weights", "A=0"], 2),
+    (["collapse", "{doc}", "--steps", "{steps}"], 3),
+], ids=["validation-error", "non-free-step"])
+def test_closed_descriptor_2_keeps_the_refusal_off_stdout(tmp_path, argv, code):
+    # descriptor 2 is closed in the child itself, so the interpreter starts with sys.stderr None;
+    # print(file=None) would write the refusal into the report stream
+    paths = {"doc": write_complex(tmp_path / "triangle.json", filled_triangle()),
+             "steps": write_raw(tmp_path / "steps.json", [[0]])}
+    proc = run_entrypoint(*(a.format(**paths) for a in argv), preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (code, b"")
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -16,14 +16,20 @@ from wmorse import (
     SimplicialComplex,
     WeightedComplex,
     build_woc,
+    collapse_sequence,
+    elementary_collapse,
+    greedy_collapse,
+    homology,
+    level_subcomplex,
     validate_complex,
+    validate_morse,
 )
 from wmorse.complexes import closure, dim, faces, simplex
 from wmorse.documents import load_complex_document
 
 import random
 
-from conftest import reference_proper_cofaces
+from conftest import greedy_morse_values, reference_proper_cofaces
 from generators import random_weighted_complex
 
 
@@ -192,8 +198,9 @@ class TestWeightedComplex:
         assert validate_complex((s, 1) for s in K) == WeightedComplex(K, [[1, 1], [1]])
 
     def test_callers_hand_the_constructor_its_table_not_a_mapping(self, monkeypatch, tmp_path):
-        # build_woc, restrict, without and the constant-weight loader each lay
-        # their weights out by position; none builds a simplex-keyed dict
+        # build_woc and the constant-weight loader each lay their weights out by
+        # position; none builds a simplex-keyed dict. restrict and without derive
+        # their result from this complex's positions and hand the constructor nothing
         handed = []
         init = WeightedComplex.__init__
 
@@ -208,9 +215,9 @@ class TestWeightedComplex:
         doc = tmp_path / "maximal.json"
         doc.write_text(json.dumps({"simplices": [{"vertices": [0, 1, 2]}, {"vertices": [2, 3]}]}))
         L, _ = load_complex_document(str(doc), constant_weight=3)
-        assert len(handed) == 4
+        assert len(handed) == 2
         assert not any(isinstance(w, Mapping) for w in handed)
-        assert [len(w) for w in handed] == [K.dimension + 1, 1, K.dimension + 1, 3]
+        assert [len(w) for w in handed] == [K.dimension + 1, 3]
         assert set(L) == closure([(0, 1, 2), (2, 3)]) and L.items() == [(s, 3) for s in L]
 
     def test_divisibility_violation(self):
@@ -434,3 +441,102 @@ def test_coface_queries_read_no_faces(seed, monkeypatch):
     monkeypatch.setattr("wmorse.complexes.faces", no_faces)
     for L in fresh:
         assert_coface_queries_match_subset_enumeration(L)
+
+
+# --- complexes derived from a parent's positions, against a fresh build ----------------
+
+def derived_complexes(K, rng):
+    """Subcomplexes of K by every derived path: restrict, without, collapses and level complexes."""
+    cells = list(K)
+    for _ in range(3):
+        yield K.restrict(closure(rng.sample(cells, rng.randint(0, len(cells)))))
+    top = K.maximal_simplices()
+    yield K.without(rng.sample(top, rng.randint(0, len(top))))
+    yield greedy_collapse(K)[0]
+    L, sigmas = K, []
+    for _ in range(rng.randint(0, len(cells))):  # a random walk of free faces
+        free = [s for s in L if L.free_coface(s) is not None]
+        if not free:
+            break
+        sigmas.append(rng.choice(free))
+        L = elementary_collapse(L, sigmas[-1])[0]
+        yield L
+    yield collapse_sequence(K, sigmas)[0]
+    f = validate_morse(K, greedy_morse_values(K, split=rng.random() < 0.5)[0])
+    for c in [min(f.distinct_values()) - 1, *f.distinct_values()]:
+        yield level_subcomplex(K, f, c)
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_derived_complexes_equal_a_fresh_build(seed):
+    # a derived complex checks closure only: the constructor that checks everything is its oracle
+    rng = random.Random(seed)
+    K = random_weighted_complex(rng, zero_star_chance=0.3)
+    for L in derived_complexes(K, rng):
+        M = validate_complex(L.items())
+        assert L == M and type(L) is WeightedComplex and L.dimension == M.dimension
+        for n in range(-1, K.dimension + 2):
+            assert L.of_dim(n) == M.of_dim(n) and L.face_indices(n) == M.face_indices(n)
+            assert L.weights_of_dim(n) == M.weights_of_dim(n)
+        for s in K:
+            assert L.position(s) == M.position(s) and L.cofacets(s) == M.cofacets(s)
+        assert homology(L) == homology(M)
+    # the unweighted class derives the same way
+    plain = SimplicialComplex(K)
+    L = plain.without(rng.sample(K.maximal_simplices(), 1))
+    M = SimplicialComplex(L.simplices)
+    assert L == M and type(L) is SimplicialComplex
+    assert all(L.face_indices(n) == M.face_indices(n) for n in range(K.dimension + 1))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_a_selection_that_is_not_closed_names_the_face_the_constructor_names(seed):
+    rng = random.Random(seed)
+    K = random_weighted_complex(rng, max_vertices=9, max_facets=7, max_facet_dim=4)
+    cells = list(K)
+    for _ in range(10):
+        chosen = rng.sample(cells, rng.randint(1, len(cells)))
+        try:
+            SimplicialComplex(chosen)
+        except NotFaceClosed as error:
+            missing = error.missing
+        else:
+            missing = None
+        if missing is None:
+            assert K.restrict(chosen) == validate_complex((s, K.weight(s)) for s in chosen)
+            continue
+        with pytest.raises(NotFaceClosed) as info:
+            K.restrict(chosen)
+        assert info.value.missing == missing
+        with pytest.raises(NotFaceClosed) as info:
+            K.without(set(cells) - set(chosen))
+        assert info.value.missing == missing
+
+
+class TestRestrictRefusals:
+    """restrict checks vertex ids and membership, and leaves the rest to closure."""
+
+    K = validate_complex((s, 1) for s in closure([(0, 1, 2)]))
+
+    def test_a_bool_float_or_fraction_vertex_id_is_refused_as_simplex_refuses_it(self):
+        # each equals 1 and hashes as 1, so without the id check (bad,) would find the cell (1,)
+        for bad in (True, 1.0, Fraction(1)):
+            message = rf"^vertex ids must be non-negative integers, got {re.escape(repr(bad))}$"
+            for members in ([(0,), (bad,)], [(bad,), (0,)], [(0,), (1,), (0, bad)], [*self.K, (0, bad, 2)]):
+                with pytest.raises(ValueError, match=message):
+                    self.K.restrict(members)
+        with pytest.raises(ValueError, match="at least one vertex"):
+            self.K.restrict([(0,), ()])
+
+    def test_a_member_not_in_canonical_form_is_not_a_simplex_of_this_complex(self):
+        # (1, 0) and (0, 0) are not cells of any complex, so this complex holds neither
+        for member in ((1, 0), (0, 0), (2, 1, 0)):
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(list(member)))} is not a simplex of this complex$"):
+                self.K.restrict([(0,), (1,), (2,), member])
+
+    def test_a_member_it_does_not_hold_is_named_before_a_missing_face(self):
+        with pytest.raises(ValueError, match=r"^\[5\] is not a simplex of this complex$"):
+            self.K.restrict([(0, 1), (5,)])
+        with pytest.raises(NotFaceClosed) as info:
+            self.K.restrict([(0,), (0, 1), (0, 2)])
+        assert info.value.missing == (1,)

@@ -667,13 +667,14 @@ class TestWorkDoneOnce:
         K, f = circle_with_tails()
         levels = {c: frozenset(reference_level(K, f, c)) for c in (8, 5, 3, Fraction(1, 2))}
         built = []
-        real = WeightedComplex.__init__
+        real = WeightedComplex._select
 
-        def init(self, complex, weight):
-            built.append(frozenset(complex.simplices))
-            real(self, complex, weight)
+        # every level complex is derived from K's positions, in one call each
+        def select(self, keep):
+            built.append(frozenset((level := real(self, keep)).simplices))
+            return level
 
-        monkeypatch.setattr(WeightedComplex, "__init__", init)
+        monkeypatch.setattr(WeightedComplex, "_select", select)
         window = critical_window(K, f, (1, 2), "1/2", 8)
         assert window.a_prime == 3
         assert len(window.collapse_above.steps) == 1
