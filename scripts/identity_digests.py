@@ -1,4 +1,4 @@
-"""Print sha256 digests of collapse, removal, Morse and subcomplex results over seeded inputs.
+"""Print sha256 digests of collapse, removal, Morse, subcomplex and elementary results over seeded inputs.
 
 Run from the repository root, on two checkouts, to show that a refactor
 left every result unchanged:
@@ -24,7 +24,13 @@ a fixed order:
             random maximal simplices, the greedy collapse, a replay of
             its first steps and every level complex of the greedy Morse
             function, over seeded random_weighted_complex inputs with
-            zero stars at 0.3.
+            zero stars at 0.3;
+  elementary
+            elementary_collapse of every cell of seeded
+            random_weighted_complex inputs with zero stars at 0.3, and
+            of one vertex they do not hold: the result's cells, face
+            table and weights per dimension and the step, or the
+            refusal's class and text.
 
 The inputs come from tests/generators.py and tests/conftest.py, so the
 digests move only when the library's results or those helpers change.
@@ -43,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 COLLAPSE_SEEDS = range(1500)
 MORSE_SEEDS = range(500)
 SUBCOMPLEX_SEEDS = range(500)
+ELEMENTARY_SEEDS = range(500)
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from conftest import constant_table, greedy_morse_values  # noqa: E402
@@ -53,6 +60,7 @@ from wmorse import (  # noqa: E402
     classify,
     collapse_sequence,
     critical_window,
+    elementary_collapse,
     elementary_removal,
     greedy_collapse,
     level_subcomplex,
@@ -127,6 +135,14 @@ def subcomplex_records(seeds):
             yield tables(level_subcomplex(K, f, c))
 
 
+def elementary_records(seeds):
+    for seed in seeds:
+        K = random_weighted_complex(Random(seed), zero_star_chance=0.3)
+        for sigma in [*K, (max(K.vertices) + 1,)]:
+            result, refused = attempt(elementary_collapse, K, sigma)
+            yield seed, sigma, refused or (tables(result[0]), result[1])
+
+
 def digest(records) -> str:
     h = hashlib.sha256()
     for record in records:
@@ -139,6 +155,7 @@ def main() -> None:
     print("collapse", digest(collapse_records(COLLAPSE_SEEDS)))
     print("morse", digest(morse_records(MORSE_SEEDS)))
     print("subcomplex", digest(subcomplex_records(SUBCOMPLEX_SEEDS)))
+    print("elementary", digest(elementary_records(ELEMENTARY_SEEDS)))
 
 
 if __name__ == "__main__":

@@ -13,12 +13,13 @@ homology is decided by the pair's weights alone:
                                sits outside the preservation theorems
   anything else             -> no guarantee either way
 
-greedy_collapse, collapse_sequence and morse.morse_collapse share one
-incremental state: a count of live cofacets by position in the
-complex's own index, which each collapse edits in O(dim), plus a heap
-of free faces. None of them rebuilds or rescans the complex per
-step; each derives its result from K's positions once, at the end.
-elementary_collapse is the one-step operation on a whole complex.
+elementary_collapse, collapse_sequence, greedy_collapse and
+morse.morse_collapse share one incremental state, read off the
+complex's face table alone: per cell, the count of its live cofacets
+and the sum of their positions, which name a free face's coface, plus
+a heap of free faces. Each collapse edits them in O(dim). None of
+them rebuilds or rescans the complex per step, or builds its cofacet
+index; each derives its result from K's positions once, at the end.
 """
 
 from __future__ import annotations
@@ -88,41 +89,35 @@ def _verdict(ws: int, wt: int) -> PreservationVerdict:
 
 def elementary_collapse(K: WeightedComplex, sigma) -> tuple[WeightedComplex, CollapseStep]:
     """Remove the free pair (sigma, its unique coface)."""
-    sigma = tuple(sigma)
-    tau = K.free_coface(sigma)  # None also when sigma is not in K
-    if tau is None:
-        raise NotFreeFace(sigma)
-    return K.without((sigma, tau)), CollapseStep(sigma=sigma, tau=tau)
+    state = _Collapser(K)
+    step = state.collapse(sigma)
+    return state.result(), step
 
 
 class _Collapser:
     """A complex shrinking by free pairs, with its free faces at hand.
 
-    Reads K's face table and cofacet index and keeps, per dimension and
-    position, the count of a cell's live cofacets, below 0 once the cell
-    is removed, plus a min-heap of candidate free faces in plain tuple
-    order. A cell is free when its count is 1; its coface is the one
-    live entry of its cofacet list. Removing a pair (sigma, tau) lowers
-    the counts of their faces only, so just those are re-examined and,
-    if free, pushed. Entries that went stale stay in the heap until
-    smallest_free meets them.
-
-    members, if given, is a subcomplex of K to start from; the other
-    cells of K start removed. result() derives the live subcomplex.
+    Reads K's face table alone and keeps, per dimension and position,
+    the count of a cell's live cofacets, below 0 once the cell is
+    removed, and the sum of their positions one dimension up, plus a
+    min-heap of candidate free faces in plain tuple order. A cell is
+    free when its count is 1, and then the sum is its coface's
+    position. Removing a pair (sigma, tau) lowers the counts and sums
+    of their faces only, so just those are re-examined and, if free,
+    pushed. Entries that went stale stay in the heap until
+    smallest_free meets them. result() derives the live subcomplex.
     """
 
-    def __init__(self, K: WeightedComplex, members: WeightedComplex | None = None):
-        self._K, self._position, self._up = K, K._position, K._cofacet_index()
-        start = 0 if members is None else -1
-        count = self._count = {d: [start] * len(K.of_dim(d)) for d in range(K.dimension + 1)}
-        for s in members or ():
-            count[len(s) - 1][self._position[s]] = 0
-        for d, here in count.items():
-            table, below = K.face_indices(d), count.get(d - 1)
-            for j in compress(range(len(here)), [c >= 0 for c in here]):
-                for g in table[j]:
+    def __init__(self, K: WeightedComplex):
+        self._K, self._position, self.size = K, K._position, len(K)
+        count = self._count = {d: [0] * len(K.of_dim(d)) for d in range(K.dimension + 1)}
+        total = self._total = {d: [0] * len(here) for d, here in count.items()}
+        for d in count:
+            below, sums = count.get(d - 1), total.get(d - 1)
+            for j, entry in enumerate(K.face_indices(d)):
+                for g in entry:  # none for a vertex
                     below[g] += 1
-        self.size = len(K if members is None else members)
+                    sums[g] += j
         self._heap = list(compress(K, [c == 1 for c in chain.from_iterable(count.values())]))
         heapq.heapify(self._heap)
 
@@ -146,16 +141,18 @@ class _Collapser:
     def collapse(self, sigma) -> CollapseStep:
         """Remove the free pair (sigma, its unique coface)."""
         sigma = tuple(sigma)
-        if not self._is_free(sigma):
+        if not self._is_free(sigma):  # also when K does not hold sigma
             raise NotFreeFace(sigma)
-        tau = next(t for t in self._up[len(sigma) - 1][self._position[sigma]] if self.is_live(t))
-        for s in (sigma, tau):
-            d, i = len(s) - 1, self._position[s]
+        d, i = len(sigma) - 1, self._position[sigma]
+        j = self._total[d][i]
+        tau = self._K.of_dim(d + 1)[j]
+        for d, i in ((d, i), (d + 1, j)):
             self._count[d][i] = -1
             self.size -= 1
-            count = self._count.get(d - 1)
+            count, total = self._count.get(d - 1), self._total.get(d - 1)
             for g in self._K.face_indices(d)[i]:  # none for a vertex
                 count[g] -= 1  # sigma, as a face of tau, stays removed below 0
+                total[g] -= i
                 if count[g] == 1:
                     heapq.heappush(self._heap, self._K.of_dim(d - 1)[g])
         return CollapseStep(sigma=sigma, tau=tau)
@@ -194,8 +191,6 @@ def greedy_collapse(K: WeightedComplex) -> tuple[
     heap pushes.
     """
     state = _Collapser(K)
-    applied = []
-    while (sigma := state.smallest_free()) is not None:
-        step = state.collapse(sigma)
-        applied.append((step, check_preservation(K, step)))
+    steps = map(state.collapse, iter(state.smallest_free, None))  # until no free face is left
+    applied = [(step, check_preservation(K, step)) for step in steps]
     return state.result(), applied

@@ -132,7 +132,8 @@ class SimplicialComplex:
     Coface queries (cofacets, proper_cofaces, is_maximal, free_coface,
     maximal_simplices) read the face table inverted, which the first
     such query builds in O(N * dim); after that each query costs
-    O(degree), not a scan of the whole complex.
+    O(degree), not a scan of the whole complex. Only these queries and
+    the Morse scan build it; collapses read the face table alone.
     """
 
     __slots__ = ("_position", "_by_dim", "_faces", "_cofacets")

@@ -231,12 +231,17 @@ def load_steps_document(path: str) -> list[Simplex]:
     raw = _load_json(path)
     if not isinstance(raw, list):
         raise DocumentError(f"{path}: expected a JSON array of vertex lists")
+    steps = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, list):
             raise DocumentError(f"{path}: entry {i} is not a list of vertex ids")
         if _LongLiteral in map(type, entry):
             raise _too_long(f"{path}: entry {i}")
-    return [simplex(entry) for entry in raw]
+        try:
+            steps.append(simplex(entry))
+        except ValueError as e:  # no vertex, or a bad vertex id; a repeated one stays DuplicateVertex
+            raise DocumentError(f"{path}: entry {i}: {e}") from None
+    return steps
 
 
 def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:

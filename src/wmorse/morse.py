@@ -31,7 +31,7 @@ K(c) = {s : entry(s) <= c}. validate_morse keeps the scan of the
 complex it checked with the function it returns, so classify,
 level_subcomplex and the collapses on that complex reuse it. A collapse
 walks the cells of K(b) outside K(a) grouped by entry value, from the
-top, on K's own cell index.
+top, on K(b)'s own face table.
 """
 
 from __future__ import annotations
@@ -273,7 +273,7 @@ def _morse_collapse(K: WeightedComplex, f: MorseFunction, a: Fraction, b: Fracti
     for s in start:
         levels.setdefault(entry[len(s) - 1][K.position(s)], set()).add(s)
     tops = sorted((v for v in levels if v > a), reverse=True)
-    state = _Collapser(K, start)
+    state = _Collapser(start)
     remaining = state.size
     steps: list[CollapseStep] = []
     verdicts: list[PreservationVerdict] = []
@@ -342,14 +342,12 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
     fa = f(alpha)
     if not (a < fa <= b):
         raise ValueError(f"f(alpha)={fa} is outside ({a}, {b}]")
-    for s in K:
-        if s != alpha and a < f(s) <= b and cls.is_critical(s):
-            raise ExtraCritical(s)
-
-    for s in K:
-        if s != alpha and f(s) == fa:
-            raise NoValidAPrime(s, fa)
-    a_prime = max([a] + [f(s) for s in K if a <= f(s) < fa])
+    window = [s for s in K if s != alpha and a < f(s) <= b]
+    if extra := next(filter(cls.is_critical, window), None):
+        raise ExtraCritical(extra)
+    if tie := next((s for s in window if f(s) == fa), None):
+        raise NoValidAPrime(tie, fa)
+    a_prime = max([a] + [f(s) for s in window if f(s) < fa])
 
     top = level_subcomplex(K, f, fa)
     below = level_subcomplex(K, f, a_prime)
@@ -358,10 +356,9 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
     if any(t in top for t in K.cofacets(alpha)):
         raise InternalInvariantError(f"{list(alpha)} is not maximal in K({fa})")
 
-    for s in K:
-        v = f(s)
-        if (a < v <= a_prime or fa < v <= b) and not cls.is_w_simple(s):
-            raise WSimpleFailed(s)
+    # no window cell has a value in (a_prime, f(alpha)], so this is (a, a_prime] and (f(alpha), b]
+    if unsimple := next((s for s in window if not cls.is_w_simple(s)), None):
+        raise WSimpleFailed(unsimple)
 
     # a degenerate side (f(alpha) = b, or a = a_prime) starts where it ends
     collapse_above = _morse_collapse(K, f, fa, b, level_subcomplex(K, f, b) if fa < b else top, top)

@@ -292,6 +292,19 @@ def test_collapse_steps_entries_must_be_lists(triangle_doc, tmp_path, capsys, en
     assert err == f"error: DocumentError: {steps}: entry 1 is not a list of vertex ids\n"
 
 
+@pytest.mark.parametrize("entry, message", [
+    ([], "a simplex needs at least one vertex"),
+    ([0, -1], "vertex ids must be non-negative integers, got -1"),
+    ([True], "vertex ids must be non-negative integers, got True"),
+    ([0.5], "vertex ids must be non-negative integers, got 0.5"),
+], ids=["empty", "negative", "bool", "float"])
+def test_collapse_steps_name_the_entry_with_a_bad_vertex_list(triangle_doc, tmp_path, capsys, entry, message):
+    steps = write_raw(tmp_path / "steps.json", [[1, 2], entry])
+    code, out, err = run_cli(capsys, "collapse", triangle_doc, "--steps", steps)
+    assert (code, out) == (2, "")
+    assert err == f"error: DocumentError: {steps}: entry 1: {message}\n"
+
+
 def test_collapse_malformed_steps_file(triangle_doc, tmp_path, capsys):
     steps = tmp_path / "steps.json"
     steps.write_text("[[1, 2],\n [1 2]]\n")

@@ -89,6 +89,23 @@ class TestElementaryCollapse:
         with pytest.raises(NotFreeFace):
             elementary_collapse(K, (7,))  # absent
 
+    @pytest.mark.parametrize("sigma", [[0], [0, 1, 2], [7], [0, 7], []],
+                             ids=["shared", "maximal", "absent", "absent-edge", "empty"])
+    def test_refusal_names_the_cell(self, sigma):
+        with pytest.raises(NotFreeFace) as info:
+            elementary_collapse(filled_triangle(), sigma)
+        assert str(info.value) == f"{sigma} is not a free face"
+
+    @pytest.mark.parametrize("collapse", [
+        greedy_collapse,
+        lambda K: collapse_sequence(K, [(1, 2), (1,)]),
+        lambda K: elementary_collapse(K, (1, 2)),
+    ], ids=["greedy", "sequence", "elementary"])
+    def test_collapses_build_no_cofacet_index(self, collapse):
+        K = filled_triangle()
+        collapse(K)
+        assert K._cofacets is None
+
     def test_triangle_chain_verdicts_and_homology(self):
         # triangle -> two edges -> one edge -> one vertex
         K0 = filled_triangle()

@@ -616,7 +616,7 @@ class TestWorkDoneOnce:
         classify(K, load_morse_document(str(path), K))
         assert read == [K]
 
-    def test_collapses_read_the_cofacet_index_of_the_complex(self, monkeypatch):
+    def test_collapses_build_no_cofacet_index(self, monkeypatch):
         K, f = circle_with_tails()
         built = []
         real = SimplicialComplex._cofacet_index
