@@ -9,9 +9,16 @@ of this checkout's src/ (the console script's entry point, with
 PYTHONDONTWRITEBYTECODE=1 and WMORSE_MAX_DIM unset). A row records the
 median wall time, every run's wall time, the largest max RSS of a
 child, the exit code and the cells per dimension of its input (null
-for the refusals and --version).
+for the refusals and --version; summed over the records of a FASTA
+file).
 
-Rows: `wmorse --version`; `sequence` on ACGTACGTAC and ACGTACGTACG,
+Rows: `wmorse --version`; three cold-start rows of the benchmark's
+size, each run a fixed COLD_REPEATS times whatever `repeats` is, since
+start-up and compiling the source are most of their time: `sequence
+--json` of a 3-record FASTA file of length-6 sequences, `collapse
+--auto-greedy --json` of the 255-cell full 7-simplex, and `morse
+--classify` of the ACGTAC type-3 complex with its greedy Morse values;
+`sequence` on ACGTACGTAC and ACGTACGTACG,
 types 1 to 4; `collapse --auto-greedy` on the ACGTACGTACG complex,
 types 1 and 3; `collapse --steps` of one free pair on the same two
 complexes, where loading the document and restricting to the rest
@@ -50,6 +57,9 @@ SEQUENCES = ("ACGTACGTAC", "ACGTACGTACG")
 COLLAPSED = "ACGTACGTACG"
 PRIME_KS = (16, 64, 300)
 PRIME_SEED = 1
+COLD_REPEATS = 21
+FASTA_RECORDS = ("ACGTAC", "GATTCA", "CCTAGG")
+CLASSIFIED = "ACGTAC"
 
 
 def refusal_sequence() -> str:
@@ -60,7 +70,11 @@ def refusal_sequence() -> str:
 def prepare(directory: str) -> None:
     """Write the complex and steps documents into directory; print the cells per dimension of each input."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from itertools import combinations, zip_longest
+
     from generators import prime_weight_complex
+    from wmorse.collapse import greedy_collapse
+    from wmorse.complexes import validate_complex
     from wmorse.documents import dump_complex_document
     from wmorse.sequence import build_woc
 
@@ -69,6 +83,23 @@ def prepare(directory: str) -> None:
 
     weights = {"A": 1, "C": 2, "G": 3, "T": 4}
     sizes = {s: cells(build_woc(s, weights, 1)[0]) for s in SEQUENCES}
+    Path(directory, "reads.fa").write_text("".join(f">r{i}\n{s}\n" for i, s in enumerate(FASTA_RECORDS, 1)))
+    sizes["fasta"] = [sum(n) for n in zip_longest(*(cells(build_woc(s, weights, 2)[0]) for s in FASTA_RECORDS),
+                                                  fillvalue=0)]
+    K = validate_complex([(c, 1) for n in range(1, 9) for c in combinations(range(8), n)])
+    sizes["simplex7"] = cells(K)
+    dump_complex_document(os.path.join(directory, "simplex7.json"), K)
+    # greedy Morse values: the cells the greedy collapse leaves get 0 .. r-1 in (dim, lex) order,
+    # and both cells of its i-th of n pairs get r + n - 1 - i
+    K, names = build_woc(CLASSIFIED, weights, 3)
+    left, applied = greedy_collapse(K)
+    values = {s: i for i, s in enumerate(left)}
+    for i, (step, _) in enumerate(applied):
+        values[step.sigma] = values[step.tau] = len(left) + len(applied) - 1 - i
+    sizes["classified"] = cells(K)
+    dump_complex_document(os.path.join(directory, "classified.json"), K, dict(enumerate(names)))
+    Path(directory, "classified-morse.json").write_text(
+        json.dumps({"values": [{"vertices": list(s), "value": values[s]} for s in K]}) + "\n")
     for t in (1, 3):
         K, names = build_woc(COLLAPSED, weights, t)
         dump_complex_document(os.path.join(directory, f"{COLLAPSED}-{t}.json"), K, dict(enumerate(names)))
@@ -82,25 +113,36 @@ def prepare(directory: str) -> None:
     print(json.dumps(sizes))
 
 
-def rows(directory: str, sizes: dict) -> list[tuple[str, list[str], list[int] | None]]:
-    out = [("version", ["--version"], None)]
+def rows(directory: str, sizes: dict) -> list[tuple[str, list[str], list[int] | None, int | None]]:
+    """(name, argv, cells per dimension, runs) of each row; runs None: --repeats."""
+    out = [("version", ["--version"], None, None)]
+    out += [("cold sequence 3-record FASTA --json",
+             ["sequence", os.path.join(directory, "reads.fa"), "--weights", DNA, "--woc-type", "2", "--json"],
+             sizes["fasta"], COLD_REPEATS),
+            ("cold collapse --auto-greedy --json full 7-simplex",
+             ["collapse", os.path.join(directory, "simplex7.json"), "--auto-greedy", "--json"],
+             sizes["simplex7"], COLD_REPEATS),
+            (f"cold morse --classify {CLASSIFIED} type 3 greedy values",
+             ["morse", os.path.join(directory, "classified.json"),
+              os.path.join(directory, "classified-morse.json"), "--classify"],
+             sizes["classified"], COLD_REPEATS)]
     for s in SEQUENCES:
-        out += [(f"sequence {s} type {t}", ["sequence", s, "--weights", DNA, "--woc-type", str(t)], sizes[s])
+        out += [(f"sequence {s} type {t}", ["sequence", s, "--weights", DNA, "--woc-type", str(t)], sizes[s], None)
                 for t in (1, 2, 3, 4)]
     out += [(f"collapse --auto-greedy {COLLAPSED} type {t}",
-             ["collapse", os.path.join(directory, f"{COLLAPSED}-{t}.json"), "--auto-greedy"], sizes[COLLAPSED])
+             ["collapse", os.path.join(directory, f"{COLLAPSED}-{t}.json"), "--auto-greedy"], sizes[COLLAPSED], None)
             for t in (1, 3)]
     out += [(f"collapse --steps one free pair {COLLAPSED} type {t}",
              ["collapse", os.path.join(directory, f"{COLLAPSED}-{t}.json"),
-              "--steps", os.path.join(directory, f"{COLLAPSED}-{t}-steps.json")], sizes[COLLAPSED])
+              "--steps", os.path.join(directory, f"{COLLAPSED}-{t}-steps.json")], sizes[COLLAPSED], None)
             for t in (1, 3)]
     out += [(f"homology {COLLAPSED} type 1 document",
-             ["homology", os.path.join(directory, f"{COLLAPSED}-1.json")], sizes[COLLAPSED])]
+             ["homology", os.path.join(directory, f"{COLLAPSED}-1.json")], sizes[COLLAPSED], None)]
     out += [(f"homology prime-weight seed {PRIME_SEED} k={k}",
-             ["homology", os.path.join(directory, f"prime-{k}.json")], sizes[f"prime-{k}"])
+             ["homology", os.path.join(directory, f"prime-{k}.json")], sizes[f"prime-{k}"], None)
             for k in PRIME_KS]
-    out += [("refuse 30 A", ["sequence", "A" * 30, "--weights", DNA], None),
-            ("refuse seeded 300 letters", ["sequence", refusal_sequence(), "--weights", DNA], None)]
+    out += [("refuse 30 A", ["sequence", "A" * 30, "--weights", DNA], None, None),
+            ("refuse seeded 300 letters", ["sequence", refusal_sequence(), "--weights", DNA], None, None)]
     return out
 
 
@@ -137,8 +179,8 @@ def main() -> None:
         prepared = subprocess.run([sys.executable, __file__, "--prepare", directory],
                                   env=env, check=True, capture_output=True, text=True)
         sizes = json.loads(prepared.stdout)
-        for name, argv, cells in rows(directory, sizes):
-            runs = [run_once(argv, env) for _ in range(args.repeats)]
+        for name, argv, cells, repeats in rows(directory, sizes):
+            runs = [run_once(argv, env) for _ in range(repeats or args.repeats)]
             codes = {code for _, _, code in runs}
             if len(codes) != 1:
                 raise SystemExit(f"{name}: exit codes differ between runs: {sorted(codes)}")

@@ -32,14 +32,12 @@ _EXPORTS = {
         "CollapseStep", "PreservationVerdict", "Verdict", "check_preservation",
         "collapse_sequence", "elementary_collapse", "greedy_collapse",
     ),
-    "homology": (
-        "ClassOrder", "HomologyGroup", "RemovalReport", "boundary_matrix", "chain_basis",
-        "elementary_removal", "group_at", "homology", "homology_class_order",
-    ),
+    "homology": ("HomologyGroup", "boundary_matrix", "chain_basis", "group_at", "homology"),
     "morse": (
         "CellClassification", "CriticalWindow", "MorseCollapse", "MorseFunction", "classify",
         "critical_window", "level_subcomplex", "morse_collapse", "validate_morse",
     ),
+    "removal": ("ClassOrder", "RemovalReport", "elementary_removal", "homology_class_order"),
     "sequence": (
         "ALPHABETS", "OrderComplex", "WocType", "build_woc", "order_complex", "sequence_fingerprint",
         "substrings",

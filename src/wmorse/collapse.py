@@ -16,10 +16,11 @@ homology is decided by the pair's weights alone:
 elementary_collapse, collapse_sequence, greedy_collapse and
 morse.morse_collapse share one incremental state, read off the
 complex's face table alone: per cell, the count of its live cofacets
-and the sum of their positions, which name a free face's coface, plus
-a heap of free faces. Each collapse edits them in O(dim). None of
-them rebuilds or rescans the complex per step, or builds its cofacet
-index; each derives its result from K's positions once, at the end.
+and the sum of their positions, which name a free face's coface, plus,
+for greedy_collapse alone, a heap of free faces. Each collapse edits
+them in O(dim). None of them rebuilds or rescans the complex per step,
+or builds its cofacet index; each derives its result from K's positions
+once, at the end.
 """
 
 from __future__ import annotations
@@ -99,13 +100,16 @@ class _Collapser:
 
     Reads K's face table alone and keeps, per dimension and position,
     the count of a cell's live cofacets, below 0 once the cell is
-    removed, and the sum of their positions one dimension up, plus a
-    min-heap of candidate free faces in plain tuple order. A cell is
+    removed, and the sum of their positions one dimension up. A cell is
     free when its count is 1, and then the sum is its coface's
     position. Removing a pair (sigma, tau) lowers the counts and sums
-    of their faces only, so just those are re-examined and, if free,
-    pushed. Entries that went stale stay in the heap until
-    smallest_free meets them. result() derives the live subcomplex.
+    of their faces only. The first smallest_free call lists the free
+    faces in a min-heap in plain tuple order; from then on a removal
+    re-examines just those faces and pushes the ones now free, and
+    entries that went stale stay in the heap until smallest_free meets
+    them. Callers that name their faces (elementary_collapse,
+    collapse_sequence, Morse collapses) never build the heap. result()
+    derives the live subcomplex.
     """
 
     def __init__(self, K: WeightedComplex):
@@ -118,8 +122,7 @@ class _Collapser:
                 for g in entry:  # none for a vertex
                     below[g] += 1
                     sums[g] += j
-        self._heap = list(compress(K, [c == 1 for c in chain.from_iterable(count.values())]))
-        heapq.heapify(self._heap)
+        self._heap: list[Simplex] | None = None  # built by the first smallest_free call
 
     def result(self) -> WeightedComplex:
         return self._K._select({d: [c >= 0 for c in here] for d, here in self._count.items()})
@@ -134,6 +137,10 @@ class _Collapser:
 
     def smallest_free(self) -> Simplex | None:
         heap = self._heap
+        if heap is None:  # every free face now; a collapse pushes the faces it frees from here on
+            counts = chain.from_iterable(self._count.values())
+            heap = self._heap = list(compress(self._K, [c == 1 for c in counts]))
+            heapq.heapify(heap)
         while heap and not self._is_free(heap[0]):
             heapq.heappop(heap)
         return heap[0] if heap else None
@@ -153,7 +160,7 @@ class _Collapser:
             for g in self._K.face_indices(d)[i]:  # none for a vertex
                 count[g] -= 1  # sigma, as a face of tau, stays removed below 0
                 total[g] -= i
-                if count[g] == 1:
+                if count[g] == 1 and self._heap is not None:
                     heapq.heappush(self._heap, self._K.of_dim(d - 1)[g])
         return CollapseStep(sigma=sigma, tau=tau)
 

@@ -1,4 +1,4 @@
-"""File formats for the command line: JSON documents and FASTA.
+"""The JSON documents of the command line: complexes, Morse functions, steps.
 
 A complex document is a JSON object with a "simplices" array of
 {"vertices": [...], "weight": n} records (every face listed explicitly)
@@ -14,7 +14,10 @@ parse_rational. A key given twice in one JSON object is refused, as is
 a vertex_names key not written as a plain integer ("00", "1_0").
 
 Neither fractions nor the Morse layer is loaded until a Morse value is
-read, so the other subcommands do without them.
+read, so the other subcommands do without them. FASTA files and letter
+weights are read by the sequence module, which imports this one only to
+write a complex document (sequence --emit-complex); both read their
+files through _files.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import re
 from typing import TYPE_CHECKING, Iterable, Mapping
 
+from ._files import read_bytes, utf8
 from .complexes import Simplex, SimplicialComplex, WeightedComplex, _exact_ids, simplex, validate_complex
 from .errors import DocumentError, quoted
 
@@ -80,24 +84,6 @@ def _too_long(where: str) -> DocumentError:
     return DocumentError(f"{where}: integer literal with more than {MAX_DIGITS} digits")
 
 
-def _read_bytes(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as e:
-        raise DocumentError(f"cannot read {path}: {e.strerror or e}")
-
-
-def _utf8(data: bytes, path: str) -> str:
-    # every input file is UTF-8 (RFC 8259 requires it of JSON), whatever the
-    # locale; one leading byte-order mark is dropped after decoding, so byte
-    # offsets still count from the start of the file
-    try:
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as e:
-        raise DocumentError(f"{path}: not UTF-8 text: byte {e.start} is {data[e.start:e.start + 1]!r}")
-
-
 def _load_json(path: str, exact_decimals: bool = False):
     def unique_keys(pairs):
         obj = dict(pairs)
@@ -108,13 +94,13 @@ def _load_json(path: str, exact_decimals: bool = False):
         return obj
 
     kwargs = {"parse_float": str} if exact_decimals else {}
-    data = _read_bytes(path)
+    data = read_bytes(path)
     # the callback is a Python call per integer, so it is passed only
     # when the text holds a run of digits too long for int()
     if _LONG_DIGIT_RUN in data.translate(_DIGITS_TO_ZERO):
         kwargs["parse_int"] = _parse_int
     try:
-        return json.loads(_utf8(data, path), object_pairs_hook=unique_keys, **kwargs)
+        return json.loads(utf8(data, path), object_pairs_hook=unique_keys, **kwargs)
     except json.JSONDecodeError as e:
         raise DocumentError(f"{path}: {e.msg}", line=e.lineno)
 
@@ -274,53 +260,3 @@ def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
         return vs, v if isinstance(v, int) else parse_rational(v, where)
 
     return validate_morse(K, _records(records, path, "values", "value", valued))
-
-
-def parse_weights_spec(spec: str) -> dict[str, int]:
-    """Parse "A=1,C=2,G=3,T=4" into a letter weight table."""
-    out = {}
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise DocumentError(f"bad weight entry {quoted(part)}, expected SYMBOL=INTEGER")
-        sym, _, value = part.partition("=")
-        sym = sym.strip()
-        if len(sym) != 1:  # sequences are read one character at a time
-            raise DocumentError(f"bad weight entry {quoted(part)}, expected a one-character symbol")
-        if sym in out:
-            raise DocumentError(f"weight for {quoted(sym)} given twice")
-        try:
-            out[sym] = int(value.strip())
-        except ValueError:
-            raise DocumentError(f"bad weight for {quoted(sym)}: {quoted(value.strip())}")
-    if not out:
-        raise DocumentError("empty weight specification")
-    return out
-
-
-def read_fasta(path: str) -> list[tuple[str, str]]:
-    """Parse FASTA records as (identifier, sequence) pairs."""
-    text = _utf8(_read_bytes(path), path)
-    records = []
-    ident = None
-    parts: list[str] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(">"):
-            if ident is not None:
-                records.append((ident, "".join(parts)))
-            ident = line[1:].split()[0] if len(line) > 1 else ""
-            parts = []
-        else:
-            if ident is None:
-                raise DocumentError(f"{path}: sequence data before any '>' header")
-            parts.append(line)
-    if ident is not None:
-        records.append((ident, "".join(parts)))
-    if not records:
-        raise DocumentError(f"{path}: no FASTA records")
-    return records

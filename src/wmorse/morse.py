@@ -54,7 +54,7 @@ from .errors import (
 
 if TYPE_CHECKING:
     from .collapse import CollapseStep, PreservationVerdict
-    from .homology import RemovalReport
+    from .removal import RemovalReport
 
 
 def to_fraction(value) -> Fraction:
@@ -365,7 +365,7 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
     collapse_below = _morse_collapse(K, f, a, a_prime, below, level_subcomplex(K, f, a) if a < a_prime else below)
 
     # the set identity above already shows that top minus alpha is below
-    from .homology import _removal_report
+    from .removal import _removal_report
 
     report = _removal_report(top, below, alpha) if K.weight(alpha) != 0 else None
 

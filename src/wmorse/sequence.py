@@ -17,6 +17,10 @@ reverse). Divisibility of the resulting weighting is verified when the
 complex is built, not assumed.
 
 The fingerprint of a sequence is the weighted homology of this complex.
+
+The command line's sequence inputs are read here too: read_fasta takes
+the records of a FASTA file, and parse_weights_spec a letter weight
+table written as "A=1,C=2,G=3,T=4".
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from math import lcm
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
+from ._files import read_bytes, utf8
 from .complexes import SimplicialComplex, WeightedComplex
-from .errors import UnweightedSymbol, ZeroLetterWeight
+from .errors import DocumentError, UnweightedSymbol, ZeroLetterWeight, quoted
 from .homology import HomologyGroup, homology
 
 ALPHABETS: dict[str, tuple[str, ...]] = {
@@ -183,3 +188,53 @@ def sequence_fingerprint(
     skeleton = None if max_dim is None else max_dim + 1
     K, _ = build_woc(s, letter_weights, woc_type, max_dim=skeleton)
     return homology(K, max_dim=max_dim)
+
+
+def parse_weights_spec(spec: str) -> dict[str, int]:
+    """Parse "A=1,C=2,G=3,T=4" into a letter weight table."""
+    out = {}
+    for part in spec.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise DocumentError(f"bad weight entry {quoted(part)}, expected SYMBOL=INTEGER")
+        sym, _, value = part.partition("=")
+        sym = sym.strip()
+        if len(sym) != 1:  # sequences are read one character at a time
+            raise DocumentError(f"bad weight entry {quoted(part)}, expected a one-character symbol")
+        if sym in out:
+            raise DocumentError(f"weight for {quoted(sym)} given twice")
+        try:
+            out[sym] = int(value.strip())
+        except ValueError:
+            raise DocumentError(f"bad weight for {quoted(sym)}: {quoted(value.strip())}")
+    if not out:
+        raise DocumentError("empty weight specification")
+    return out
+
+
+def read_fasta(path: str) -> list[tuple[str, str]]:
+    """Parse FASTA records as (identifier, sequence) pairs."""
+    text = utf8(read_bytes(path), path)
+    records = []
+    ident = None
+    parts: list[str] = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith(">"):
+            if ident is not None:
+                records.append((ident, "".join(parts)))
+            ident = line[1:].split()[0] if len(line) > 1 else ""
+            parts = []
+        else:
+            if ident is None:
+                raise DocumentError(f"{path}: sequence data before any '>' header")
+            parts.append(line)
+    if ident is not None:
+        records.append((ident, "".join(parts)))
+    if not records:
+        raise DocumentError(f"{path}: no FASTA records")
+    return records

@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 import wmorse
+import wmorse._cli_morse
 import wmorse.cli
 import wmorse.complexes
 import wmorse.documents
@@ -1239,7 +1240,7 @@ def test_long_integer_literals_name_their_entry(tmp_path, capsys, case):
 LONG_TEXT = {
     "rational": lambda: parse_rational("x" * 10000, "f.json: values[1]"),
     "weights": lambda: main(["sequence", "ACG", "--weights", "A=" + "x" * 5000]),
-    "cell": lambda: wmorse.cli._parse_cell("x" * 5000),
+    "cell": lambda: wmorse._cli_morse._parse_cell("x" * 5000),
     "max-dim": lambda: main(["sequence", "ACG", "--weights", DNA]),
 }
 

@@ -1,8 +1,10 @@
 """Elementary collapses, preservation verdicts, and removals."""
 
+import heapq
 import importlib
 import random
 import time
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from conftest import (
     BROKEN_REMOVAL,
     filled_triangle,
     full_simplex,
+    greedy_morse_values,
     groups_equal_padded,
     hollow_triangle_w2,
     reference_greedy_collapse,
@@ -36,7 +39,9 @@ from wmorse import (
     group_at,
     homology,
     homology_class_order,
+    morse_collapse,
     validate_complex,
+    validate_morse,
 )
 from wmorse.homology import _smith_homology
 
@@ -105,6 +110,23 @@ class TestElementaryCollapse:
         K = filled_triangle()
         collapse(K)
         assert K._cofacets is None
+
+    @pytest.mark.parametrize("collapse, heaps", [
+        (greedy_collapse, 1),
+        (lambda K: collapse_sequence(K, [(1, 2), (1,)]), 0),
+        (lambda K: elementary_collapse(K, (1, 2)), 0),
+        (lambda K: morse_collapse(K, validate_morse(K, greedy_morse_values(K)[0]), 0, 3), 0),
+    ], ids=["greedy", "sequence", "elementary", "morse"])
+    def test_only_greedy_collapse_builds_a_free_face_heap(self, monkeypatch, collapse, heaps):
+        # callers that name their faces never ask for the smallest free one
+        calls = []
+        spy = types.SimpleNamespace(**{name: lambda *args, name=name: calls.append(name) or getattr(heapq, name)(*args)
+                                       for name in ("heapify", "heappush", "heappop")})
+        monkeypatch.setattr(importlib.import_module("wmorse.collapse"), "heapq", spy)
+        K = full_simplex(2)  # constant weights: every pair of its greedy Morse function is w-simple
+        collapse(K)
+        assert calls.count("heapify") == heaps
+        assert heaps or calls == []
 
     def test_triangle_chain_verdicts_and_homology(self):
         # triangle -> two edges -> one edge -> one vertex

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import class_order_oracle, matrix_rows, minor_gcd_factors, mul, rational_rank, transpose
-from wmorse.homology import ClassOrder
+from wmorse.removal import ClassOrder
 from wmorse.snf import IntMatrix, smith_normal_form
 
 

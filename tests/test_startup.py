@@ -19,7 +19,9 @@ from conftest import weighted_disk
 
 SRC = os.path.dirname(os.path.dirname(wmorse.__file__))
 MODULES = ("complexes", "documents", "errors", "homology", "snf", "collapse", "morse",
-           "sequence")
+           "sequence", "removal")
+COMMANDS = ("homology", "collapse", "morse", "sequence")
+HANDLERS = [f"wmorse._cli_{c}" for c in COMMANDS]
 # no subcommand needs them: the result records are NamedTuples
 NEVER = {"dataclasses", "inspect"}
 
@@ -54,29 +56,51 @@ def _docs(tmp_path):
     values = [((0,), 0), ((1,), 0), ((2,), 0), ((0, 1), 1), ((0, 2), 1), ((1, 2), 1), ((0, 1, 2), 2)]
     mdoc = tmp_path / "morse.json"
     mdoc.write_text(json.dumps({"values": [{"vertices": list(s), "value": v} for s, v in values]}))
-    return str(doc), str(mdoc)
+    # shaped like the benchmark's fingerprint inputs: a few records of length 5 to 7
+    fasta = tmp_path / "reads.fa"
+    fasta.write_text(">r1\nACGTAC\n>r2\nCTCGT\n>r3\nGGATCAA\n")
+    return {"doc": str(doc), "mdoc": str(mdoc), "fasta": str(fasta), "out": str(tmp_path / "out.json")}
 
 
-# name -> (argv with {doc} and {mdoc}, modules it loads, modules it must not load)
+def _others(command):
+    """Every subcommand's handler module but command's own."""
+    return [h for h in HANDLERS if h != f"wmorse._cli_{command}"]
+
+
+SEQUENCE = ["sequence", "--weights", "A=1,C=2,G=3,T=4", "--woc-type", "2"]
+# a sequence call reads FASTA without the JSON documents module, and only a window removes a cell
+NOT_SEQUENCE = ["wmorse.collapse", "wmorse.morse", "wmorse.snf", "wmorse.documents", "wmorse.removal",
+                *_others("sequence")]
+
+# name -> (argv with {doc}, {mdoc}, {fasta} and {out}, modules it loads, modules it must not load)
 CALLS = {
-    "version": (["--version"], ["cli"], [f"wmorse.{m}" for m in MODULES]),
-    "collapse-greedy": (["collapse", "{doc}", "--auto-greedy"], ["collapse"],
-                        ["wmorse.homology", "wmorse.snf", "wmorse.morse", "wmorse.sequence"]),
-    "homology": (["homology", "{doc}"], ["homology"], ["wmorse.collapse", "wmorse.morse", "wmorse.snf"]),
-    "sequence": (["sequence", "CTC", "--weights", "A=1,C=2,G=3,T=4", "--woc-type", "2"],
-                 ["sequence"], ["wmorse.collapse", "wmorse.morse", "wmorse.snf"]),
-    "morse-classify": (["morse", "{doc}", "{mdoc}", "--classify"], ["morse"],
-                       ["wmorse.sequence", "wmorse.snf", "wmorse.homology", "wmorse.collapse"]),
+    "version": (["--version"], ["cli"], [f"wmorse.{m}" for m in MODULES] + HANDLERS),
+    "collapse-greedy": (["collapse", "{doc}", "--auto-greedy"], ["collapse", "_cli_collapse"],
+                        ["wmorse.homology", "wmorse.snf", "wmorse.morse", "wmorse.sequence",
+                         "wmorse.removal", *_others("collapse")]),
+    "collapse-verify": (["collapse", "{doc}", "--auto-greedy", "--verify"], ["collapse", "homology"],
+                        ["wmorse.morse", "wmorse.sequence", "wmorse.removal", *_others("collapse")]),
+    "homology": (["homology", "{doc}"], ["homology", "_cli_homology"],
+                 ["wmorse.collapse", "wmorse.morse", "wmorse.snf", "wmorse.removal", *_others("homology")]),
+    "sequence": ([*SEQUENCE, "CTC"], ["sequence", "_cli_sequence"], NOT_SEQUENCE),
+    "sequence-fasta": ([*SEQUENCE, "{fasta}", "--json"], ["sequence", "_cli_sequence"], NOT_SEQUENCE),
+    "sequence-emit-complex": ([*SEQUENCE, "CTC", "--emit-complex", "{out}"], ["sequence", "documents"],
+                              [m for m in NOT_SEQUENCE if m != "wmorse.documents"]),
+    "morse-classify": (["morse", "{doc}", "{mdoc}", "--classify"], ["morse", "_cli_morse"],
+                       ["wmorse.sequence", "wmorse.snf", "wmorse.homology", "wmorse.collapse",
+                        "wmorse.removal", *_others("morse")]),
+    "morse-collapse": (["morse", "{doc}", "{mdoc}", "--collapse", "3", "4"], ["morse", "collapse", "homology"],
+                       ["wmorse.sequence", "wmorse.snf", "wmorse.removal", *_others("morse")]),
     "morse-window": (["morse", "{doc}", "{mdoc}", "--window", "3/2", "2", "--cell", "0,1,2"],
-                     ["morse"], ["wmorse.sequence", "wmorse.snf"]),
+                     ["morse", "removal"], ["wmorse.sequence", "wmorse.snf", *_others("morse")]),
 }
 
 
 @pytest.mark.parametrize("call", sorted(CALLS))
 def test_each_subcommand_loads_only_its_layers(tmp_path, call):
-    doc, mdoc = _docs(tmp_path)
+    paths = _docs(tmp_path)
     argv, used, unused = CALLS[call]
-    code, out, modules = _run(*(a.format(doc=doc, mdoc=mdoc) for a in argv))
+    code, out, modules = _run(*(a.format(**paths) for a in argv))
     assert code == 0
     assert out
     assert {f"wmorse.{m}" for m in used} <= modules
