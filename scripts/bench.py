@@ -20,10 +20,12 @@ start-up and compiling the source are most of their time: `sequence
 --classify` of the ACGTAC type-3 complex with its greedy Morse values;
 `sequence` on ACGTACGTAC and ACGTACGTACG,
 types 1 to 4; `collapse --auto-greedy` on the ACGTACGTACG complex,
-types 1 and 3; `collapse --steps` of one free pair on the same two
-complexes, where loading the document and restricting to the rest
-dominate; `homology` of the ACGTACGTACG type-1 document, where loading
-it is about as long as the reduction; `homology` of
+types 1 and 3, and with `--json` on type 1; `collapse --steps` of one
+free pair on the same two complexes, where loading the document and
+restricting to the rest dominate; `homology` of the ACGTACGTACG type-1
+document, where loading it is about as long as the reduction, and of
+the same document read as generators by `--constant-weight 1`, which
+takes the closure of every listed face; `homology` of
 tests/generators.prime_weight_complex at seed 1 with k = 16, 64 and
 300; and the refusals of 30 `A`s and of a seeded random 300-letter
 sequence.
@@ -132,12 +134,18 @@ def rows(directory: str, sizes: dict) -> list[tuple[str, list[str], list[int] | 
     out += [(f"collapse --auto-greedy {COLLAPSED} type {t}",
              ["collapse", os.path.join(directory, f"{COLLAPSED}-{t}.json"), "--auto-greedy"], sizes[COLLAPSED], None)
             for t in (1, 3)]
+    out += [(f"collapse --auto-greedy --json {COLLAPSED} type 1",
+             ["collapse", os.path.join(directory, f"{COLLAPSED}-1.json"), "--auto-greedy", "--json"],
+             sizes[COLLAPSED], None)]
     out += [(f"collapse --steps one free pair {COLLAPSED} type {t}",
              ["collapse", os.path.join(directory, f"{COLLAPSED}-{t}.json"),
               "--steps", os.path.join(directory, f"{COLLAPSED}-{t}-steps.json")], sizes[COLLAPSED], None)
             for t in (1, 3)]
     out += [(f"homology {COLLAPSED} type 1 document",
-             ["homology", os.path.join(directory, f"{COLLAPSED}-1.json")], sizes[COLLAPSED], None)]
+             ["homology", os.path.join(directory, f"{COLLAPSED}-1.json")], sizes[COLLAPSED], None),
+            (f"homology --constant-weight 1 {COLLAPSED} type 1 document",
+             ["homology", os.path.join(directory, f"{COLLAPSED}-1.json"), "--constant-weight", "1"],
+             sizes[COLLAPSED], None)]
     out += [(f"homology prime-weight seed {PRIME_SEED} k={k}",
              ["homology", os.path.join(directory, f"prime-{k}.json")], sizes[f"prime-{k}"], None)
             for k in PRIME_KS]

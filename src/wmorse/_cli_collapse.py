@@ -14,27 +14,19 @@ def run(args) -> int:
         L, applied = greedy_collapse(K)
     else:
         L, applied = collapse_sequence(K, load_steps_document(args.steps))
-
-    lines = [_step_line(i + 1, s, v) for i, (s, v) in enumerate(applied)]
     guaranteed = all(v.guaranteed for _, v in applied)
-    lines.append(f"steps: {len(applied)}")
-    lines.append(f"remaining: {len(L)} simplices")
-    lines.append(f"guaranteed: {'yes' if guaranteed else 'no'}")
-    payload = {
-        "steps": [_step_json(s, v) for s, v in applied],
-        "remaining_simplices": len(L),
-        "guaranteed": guaranteed,
-    }
-
     if args.verify:
-        before, after, compared, agree = _compare_homology(K, L, _max_dim_cap(), ("before", "after"))
-        lines.extend(f"verify {line}" for line in compared)
-        lines.append(f"verify-agree: {'yes' if agree else 'no'}")
-        payload["verify"] = {
-            "before": _homology_json(before),
-            "after": _homology_json(after),
-            "agree": agree,
-        }
+        before, after, pairs, agree = _compare_homology(K, L, _max_dim_cap())
 
-    _emit(args, lines, payload)
-    return 0
+    if args.json:
+        payload = {"steps": [_step_json(s, v) for s, v in applied], "remaining_simplices": len(L),
+                   "guaranteed": guaranteed}
+        if args.verify:
+            payload["verify"] = {"before": _homology_json(before), "after": _homology_json(after), "agree": agree}
+        return _emit(payload)
+    lines = [_step_line(i, s, v) for i, (s, v) in enumerate(applied, 1)]
+    lines += [f"steps: {len(applied)}", f"remaining: {len(L)} simplices", f"guaranteed: {'yes' if guaranteed else 'no'}"]
+    if args.verify:
+        lines += [f"verify H{n}: before={b} after={a} agree={'yes' if b == a else 'no'}" for n, (b, a) in enumerate(pairs)]
+        lines.append(f"verify-agree: {'yes' if agree else 'no'}")
+    return _emit(lines)

@@ -10,5 +10,4 @@ def run(args) -> int:
 
     K = _load_complex(args)
     groups = homology(K, max_dim=_max_dim_cap())
-    _emit(args, _homology_lines(groups), {"homology": _homology_json(groups)})
-    return 0
+    return _emit({"homology": _homology_json(groups)} if args.json else _homology_lines(groups))

@@ -29,8 +29,6 @@ def run(args) -> int:
 
     # the complex is built one dimension above the cap, as in sequence_fingerprint
     skeleton = None if cap is None else cap + 1
-    lines: list[str] = []
-    payload_records = []
     fingerprints: dict[str, list] = {}  # a record repeated in the file is built once
     for ident, seq in records:
         if seq not in fingerprints:
@@ -39,16 +37,6 @@ def run(args) -> int:
                 raise DocumentError(f"symbols {unknown} not in the alphabet")
             K, names = build_woc(seq, weights, args.woc_type, max_dim=skeleton)
             fingerprints[seq] = homology(K, max_dim=cap)
-        groups = fingerprints[seq]
-        block = _homology_lines(groups) if groups else ["(empty complex)"]
-        if ident is not None:
-            if lines:
-                lines.append("")
-            lines.append(f"# {ident} {seq}")
-        lines.extend(block)
-        payload_records.append(
-            {"id": ident, "sequence": seq, "homology": _homology_json(groups)}
-        )
 
     if args.emit_complex:  # K and names are the one record's, from the loop
         if not len(K):
@@ -59,10 +47,17 @@ def run(args) -> int:
             args.emit_complex, K, {i: name for i, name in enumerate(names)}
         )
 
-    payload = (
-        {"records": payload_records}
-        if len(records) > 1 or records[0][0] is not None
-        else {"sequence": records[0][1], "homology": payload_records[0]["homology"]}
-    )
-    _emit(args, lines, payload)
-    return 0
+    if args.json:
+        entries = [{"id": ident, "sequence": seq, "homology": _homology_json(fingerprints[seq])}
+                   for ident, seq in records]
+        if len(records) > 1 or records[0][0] is not None:
+            return _emit({"records": entries})
+        return _emit({"sequence": records[0][1], "homology": entries[0]["homology"]})
+    lines: list[str] = []
+    for ident, seq in records:
+        if ident is not None:
+            if lines:
+                lines.append("")
+            lines.append(f"# {ident} {seq}")
+        lines.extend(_homology_lines(fingerprints[seq]) if fingerprints[seq] else ["(empty complex)"])
+    return _emit(lines)

@@ -16,7 +16,9 @@ helpers that several subcommands share. Each subcommand's handler,
 run(args), lives in its own private module, _cli_<subcommand>, and
 main() imports the chosen subcommand's module alone, so that no call
 compiles another subcommand's code (each call compiles the source it
-imports when no bytecode is cached). A handler imports the layers it
+imports when no bytecode is cached). Each handler builds only the
+report it prints: the text lines, or under --json the payload, never
+both. A handler imports the layers it
 runs when it is called, so that --version loads no layer and no
 handler, collapse loads neither homology nor Morse, morse --classify
 loads neither homology nor collapse, and only morse --window loads the
@@ -64,8 +66,9 @@ def _homology_json(groups) -> list[dict]:
     return [{"dim": n, **g._asdict()} for n, g in enumerate(groups)]
 
 
-def _emit(args, text_lines: list[str], payload: dict) -> None:
-    if args.json:
+def _emit(report: list[str] | dict) -> int:
+    """Print a report, text lines or (under --json) a payload, and return the exit code 0."""
+    if isinstance(report, dict):
         import json
 
         # torsion can pass the int-to-text digit limit; every input has been
@@ -74,13 +77,13 @@ def _emit(args, text_lines: list[str], payload: dict) -> None:
         if limit:
             sys.set_int_max_str_digits(0)
         try:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(json.dumps(report, indent=2, sort_keys=True))
         finally:
             if limit:
                 sys.set_int_max_str_digits(limit)
     else:
-        for line in text_lines:
-            print(line)
+        print("\n".join(report))
+    return 0
 
 
 def _load_complex(args):
@@ -96,17 +99,13 @@ def _fmt_simplex(sigma) -> str:
     return "[" + ",".join(str(v) for v in sigma) + "]"
 
 
-def _compare_homology(K, L, cap, labels):
-    """Both homology lists, one comparison line per dimension, and whether all agree."""
+def _compare_homology(K, L, cap):
+    """Both homology lists, the pair of groups in each dimension either has, and whether all pairs agree."""
     from .homology import group_at, homology
 
     before, after = homology(K, max_dim=cap), homology(L, max_dim=cap)
-    lines, agree = [], True
-    for n in range(max(len(before), len(after))):
-        b, a = group_at(before, n), group_at(after, n)
-        agree = agree and b == a
-        lines.append(f"H{n}: {labels[0]}={b} {labels[1]}={a} agree={'yes' if b == a else 'no'}")
-    return before, after, lines, agree
+    pairs = [(group_at(before, n), group_at(after, n)) for n in range(max(len(before), len(after)))]
+    return before, after, pairs, all(b == a for b, a in pairs)
 
 
 def _step_line(i, step, verdict) -> str:

@@ -13,6 +13,14 @@ Every text value, here and in the library's Morse calls, is parsed by
 parse_rational. A key given twice in one JSON object is refused, as is
 a vertex_names key not written as a plain integer ("00", "1_0").
 
+A loader checks the shape of the records: a nonempty vertex list each,
+and an integer weight or value. The vertex ids it leaves to the builder
+(validate_complex, SimplicialComplex.from_maximal or validate_morse),
+whose one pass checks them; only a document the builder refuses is read
+again record by record, to name the file and the entry of the first bad
+record. What a loader returns goes to one command-line handler, which
+builds only the report it prints.
+
 Neither fractions nor the Morse layer is loaded until a Morse value is
 read, so the other subcommands do without them. FASTA files and letter
 weights are read by the sequence module, which imports this one only to
@@ -24,11 +32,11 @@ from __future__ import annotations
 
 import json
 import re
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from ._files import read_bytes, utf8
 from .complexes import Simplex, SimplicialComplex, WeightedComplex, _exact_ids, simplex, validate_complex
-from .errors import DocumentError, quoted
+from .errors import DocumentError, ValidationError, quoted
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -108,35 +116,41 @@ def _load_json(path: str, exact_decimals: bool = False):
 def _vertex_list(record, where: str):
     """The record's nonempty list of non-negative int vertex ids, else an error naming where.
 
-    Only the records of a document that _records' one pass cannot take
-    come here, and the generators of a constant-weight document; where,
-    the file and the entry, is built for those alone.
+    Only a document that failed _records' shape pass, or that its builder
+    refused, comes here record by record; where, the file and the entry,
+    is built for its records alone. The ids are tested by _exact_ids, the
+    rule of the constructor's one pass, and the first bad one is named.
     """
     if not isinstance(record, dict) or "vertices" not in record:
         raise DocumentError(f"{where}: expected an object with a 'vertices' list")
     vs = record["vertices"]
     if not isinstance(vs, list) or not vs:
         raise DocumentError(f"{where}: 'vertices' must be a nonempty list")
-    for v in vs:
-        if isinstance(v, _LongLiteral):
+    if not _exact_ids([vs]):
+        if isinstance(next(v for v in vs if not _exact_ids([[v]])), _LongLiteral):
             raise _too_long(where)
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise DocumentError(f"{where}: vertex ids must be non-negative integers")
+        raise DocumentError(f"{where}: vertex ids must be non-negative integers")
     return vs
 
 
-def _records(records: list, path: str, array: str, field: str, check) -> Iterable[tuple[list, object]]:
-    # (vertices, field) of each record: one pass over the records and all their vertex ids takes
-    # a document where each holds a nonempty list of exact ints >= 0 and an exact int field;
-    # otherwise check(record, where) goes through them in order and names the first bad one
+def _records(records: list, path: str, array: str, field: str | None, check, build):
+    # build takes the records as they stand, as (vertices, field) pairs or, with no field, as bare
+    # vertex lists, once a shape pass finds nonempty lists and exact-int fields; the builder's own
+    # pass checks the vertex ids. A document that fails the shape pass, or that build refuses, is
+    # read record by record: check(record, where) names the first bad record, and if there is
+    # none, build refuses the document again
     try:
-        lists, fields = [r["vertices"] for r in records], [r[field] for r in records]
+        lists = [r["vertices"] for r in records]
+        fields = [r[field] for r in records] if field else None
     except (TypeError, KeyError):
         lists = None
     if lists is not None and set(map(type, lists)) <= {list} and all(lists) \
-            and set(map(type, fields)) <= {int} and _exact_ids(lists):
-        return zip(lists, fields)
-    return [check(r, f"{path}: {array}[{i}]") for i, r in enumerate(records)]
+            and (not field or set(map(type, fields)) <= {int}):
+        try:
+            return build(zip(lists, fields) if field else lists)
+        except (ValueError, ValidationError):
+            pass
+    return build([check(r, f"{path}: {array}[{i}]") for i, r in enumerate(records)])
 
 
 def load_complex_document(
@@ -171,9 +185,10 @@ def load_complex_document(
                 raise DocumentError(f"{path}: 'vertex_names' key {quoted(k)} is not written as a plain integer")
 
     if constant_weight is not None:
-        complex = SimplicialComplex.from_maximal(
-            _vertex_list(r, f"{path}: simplices[{i}]") for i, r in enumerate(records)
-        )
+        # read again, each record is canonicalized before the next is read: a repeated vertex
+        # is named before a bad id in a later record
+        complex = _records(records, path, "simplices", None, lambda r, where: simplex(_vertex_list(r, where)),
+                           SimplicialComplex.from_maximal)
         table = [[constant_weight] * len(complex.of_dim(d)) for d in range(complex.dimension + 1)]
         return WeightedComplex(complex, table), names
 
@@ -188,7 +203,7 @@ def load_complex_document(
             raise DocumentError(f"{where}: 'weight' must be an integer")
         return vs, w
 
-    return validate_complex(_records(records, path, "simplices", "weight", weighted)), names
+    return _records(records, path, "simplices", "weight", weighted, validate_complex), names
 
 
 def complex_document(K: WeightedComplex, names: Mapping[int, str] | None = None) -> dict:
@@ -235,11 +250,11 @@ def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
 
     Only what names the file and the entry is checked here: the JSON
     shape, each record's vertex list and value type, and the digit
-    bounds of a text value. A document of integer values passes in one
-    pass over all records and vertex ids; one with text values, or with
-    a defect, is read record by record. validate_morse takes the records
-    in document order and refuses a repeated simplex, a missing one, or
-    a violation.
+    bounds of a text value. A document of integer values goes to
+    validate_morse as it stands, which checks the vertex ids in its one
+    pass; one with text values, or one validate_morse refuses, is read
+    record by record. validate_morse takes the records in document order
+    and refuses a repeated simplex, a missing one, or a violation.
     """
     from .morse import validate_morse
 
@@ -259,4 +274,4 @@ def load_morse_document(path: str, K: WeightedComplex) -> MorseFunction:
             raise DocumentError(f"{where}: 'value' must be an integer or a string")
         return vs, v if isinstance(v, int) else parse_rational(v, where)
 
-    return validate_morse(K, _records(records, path, "values", "value", valued))
+    return _records(records, path, "values", "value", valued, lambda pairs: validate_morse(K, pairs))

@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 import wmorse
+import wmorse._cli_collapse
 import wmorse._cli_morse
 import wmorse.cli
 import wmorse.complexes
@@ -444,6 +445,26 @@ def test_documents_load_with_no_simplex_call_per_record(tmp_path, monkeypatch):
     assert calls == []
     assert loaded == K
     assert [f(s) for s in K] == [len(s) - 1 for s in K]
+
+
+def test_a_valid_document_runs_the_vertex_id_pass_once(tmp_path, monkeypatch):
+    # the loaders check the records' shape and leave the ids to the builder's one pass
+    K = weighted_disk(2)
+    doc = write_complex(tmp_path / "disk.json", K)
+    mdoc = write_morse(tmp_path / "f.json", [(s, len(s) - 1) for s in K])
+    real, passes = wmorse.complexes._exact_ids, []
+
+    def counted(cells):
+        passes.append(cells)
+        return real(cells)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "wmorse" and getattr(module, "_exact_ids", None) is real:
+            monkeypatch.setattr(module, "_exact_ids", counted)
+    loaded, _ = load_complex_document(doc)
+    assert len(passes) == 1
+    wmorse.documents.load_morse_document(mdoc, loaded)
+    assert len(passes) == 2
 
 
 def test_morse_violation_exits_2(tmp_path, capsys):
@@ -1063,6 +1084,43 @@ def test_sequence_fasta_errors(tmp_path, capsys):
     assert "before any '>' header" in err
 
 
+# --- one report per call -----------------------------------------------------------
+
+def _calls_with_steps(tmp_path):
+    """A greedy and a verified step-list collapse, a level collapse, and a window with a collapse on both sides."""
+    triangle = write_complex(tmp_path / "triangle.json", filled_triangle())
+    steps = write_raw(tmp_path / "steps.json", [[1, 2], [1]])
+    K, names, f, _ = xyyy_setup()
+    xyyy = write_complex(tmp_path / "xyyy.json", K, dict(enumerate(names)))
+    xyyy_f = write_morse(tmp_path / "xyyy_morse.json", morse_entries(f))
+    # tests/test_morse.py::circle_with_tails: the edge [1,2] is critical at 5
+    tails = write_raw(tmp_path / "tails.json", {"simplices": [
+        {"vertices": vs, "weight": 1} for vs in ([0], [1], [2], [3], [4], [0, 1], [0, 2], [1, 2], [2, 3], [0, 4])]})
+    tails_f = write_morse(tmp_path / "tails_morse.json", [
+        ((0,), 0), ((1,), 1), ((0, 1), 1), ((2,), 2), ((0, 2), 2), ((4,), 3), ((0, 4), 3),
+        ((1, 2), 5), ((3,), 7), ((2, 3), 7)])
+    return [
+        ["collapse", triangle, "--auto-greedy"],
+        ["collapse", triangle, "--steps", steps, "--verify"],
+        ["morse", xyyy, xyyy_f, "--collapse", "2", "5"],
+        ["morse", tails, tails_f, "--window", "1/2", "8", "--cell", "1,2"],
+    ]
+
+
+@pytest.mark.parametrize("unused, mode", [("_step_json", ()), ("_step_line", ("--json",))])
+def test_each_call_builds_only_the_report_it_prints(tmp_path, capsys, monkeypatch, unused, mode):
+    calls = [[*argv, *mode] for argv in _calls_with_steps(tmp_path)]
+    printed = [run_cli(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in printed] == [0, 0, 0, 0]
+
+    def unprinted(*args):
+        raise AssertionError(f"{unused} built a report that is not printed")
+
+    for module in (wmorse.cli, wmorse._cli_collapse, wmorse._cli_morse):
+        monkeypatch.setattr(module, unused, unprinted)
+    assert [run_cli(capsys, *argv) for argv in calls] == printed
+
+
 # --- malformed input -------------------------------------------------------------
 
 EDGE = {"simplices": [
@@ -1087,10 +1145,10 @@ def _without(doc, key, i, field):
     return {**doc, key: records}
 
 
-def _bad_complex(doc, message):
+def _bad_complex(doc, message, *options, error="DocumentError"):
     def build(tmp_path):
         c = write_raw(tmp_path / "complex.json", doc)
-        return ["homology", c], message.format(c=c)
+        return ["homology", c, *options], message.format(c=c), error
     return build
 
 
@@ -1103,14 +1161,24 @@ def _bad_complex_text(text, message):
 
 
 def _bad_morse(values, message, mode=("--classify",)):
-    def build(tmp_path):
+    def build(tmp_path):  # values: a document, or its JSON text
         c = write_raw(tmp_path / "complex.json", EDGE)
-        m = write_raw(tmp_path / "morse.json", values)
-        return ["morse", c, m, *mode], message.format(m=m)
+        m = tmp_path / "morse.json"
+        m.write_text(values if isinstance(values, str) else json.dumps(values))
+        return ["morse", c, str(m), *mode], message.format(m=m)
     return build
 
 
-# name -> a builder of (argv, error message) in a temporary directory
+def _listing(key, field, *vertex_lists):
+    # records of the given vertex lists; the field (weight or value) of each is 1
+    return {key: [{"vertices": vs, field: 1} for vs in vertex_lists]}
+
+
+# a vertex id of more digits than the interpreter converts to an int by default
+LONG_ID = "1" + "0" * 4400
+
+
+# name -> a builder of (argv, error message[, error class if not DocumentError]) in a temporary directory
 REJECTED = {
     "record-not-object": _bad_complex(
         {"simplices": [5]},
@@ -1151,6 +1219,48 @@ REJECTED = {
     "weight-not-integer": _bad_complex(
         _with_record(EDGE, "simplices", 2, weight="1"),
         "{c}: simplices[2]: 'weight' must be an integer"),
+    # the builder refuses each of these; read again record by record, the bad id is named
+    # before a repeated record, and a bool before or after the int it equals
+    "repeat-before-negative-id": _bad_complex(
+        _listing("simplices", "weight", [0], [0], [-1]),
+        "{c}: simplices[2]: vertex ids must be non-negative integers"),
+    "bool-id-after-its-int": _bad_complex(
+        _listing("simplices", "weight", [1], [True]),
+        "{c}: simplices[1]: vertex ids must be non-negative integers"),
+    "bool-id-before-its-int": _bad_complex(
+        _listing("simplices", "weight", [True], [1]),
+        "{c}: simplices[0]: vertex ids must be non-negative integers"),
+    "float-id": _bad_complex(
+        _listing("simplices", "weight", [0], [0, 1.5]),
+        "{c}: simplices[1]: vertex ids must be non-negative integers"),
+    "long-literal-id": _bad_complex_text(
+        json.dumps(_listing("simplices", "weight", [0], [-1, "BIG"], [1])).replace('"BIG"', LONG_ID),
+        "{c}: simplices[1]: vertex ids must be non-negative integers"),
+    "long-literal-id-first": _bad_complex_text(
+        json.dumps(_listing("simplices", "weight", [0], ["BIG", -1])).replace('"BIG"', LONG_ID),
+        "{c}: simplices[1]: integer literal with more than 4300 digits"),
+    # each generator is canonicalized before the next is read: its repeated vertex comes first
+    "constant-weight-repeat-before-negative-id": _bad_complex(
+        {"simplices": [{"vertices": [0, 0]}, {"vertices": [1, -1]}]},
+        "repeated vertex in [0, 0]", "--constant-weight", "2", error="DuplicateVertex"),
+    "constant-weight-bool-id": _bad_complex(
+        {"simplices": [{"vertices": [0, 1]}, {"vertices": [True]}]},
+        "{c}: simplices[1]: vertex ids must be non-negative integers", "--constant-weight", "2"),
+    "value-repeat-before-negative-id": _bad_morse(
+        _listing("values", "value", [0], [0], [-1]),
+        "{m}: values[2]: vertex ids must be non-negative integers"),
+    "value-bool-id-after-its-int": _bad_morse(
+        _listing("values", "value", [0], [1], [0, 1], [True]),
+        "{m}: values[3]: vertex ids must be non-negative integers"),
+    "value-bool-id-before-its-int": _bad_morse(
+        _listing("values", "value", [True], [0], [1], [0, 1]),
+        "{m}: values[0]: vertex ids must be non-negative integers"),
+    "value-float-id": _bad_morse(
+        _listing("values", "value", [0], [1], [0, 1.5]),
+        "{m}: values[2]: vertex ids must be non-negative integers"),
+    "value-long-literal-id": _bad_morse(
+        json.dumps(_listing("values", "value", [0], ["BIG"], [1])).replace('"BIG"', LONG_ID),
+        "{m}: values[1]: integer literal with more than 4300 digits"),
     "values-missing": _bad_morse(
         {"value": []},
         "{m}: expected an object with a 'values' array"),
@@ -1194,11 +1304,11 @@ REJECTED = {
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_malformed_input_exits_2(tmp_path, capsys, case):
-    argv, message = REJECTED[case](tmp_path)
+    argv, message, *error = REJECTED[case](tmp_path)  # a DocumentError unless the row names another
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err == f"error: DocumentError: {message}\n"
+    assert err == f"error: {error[0] if error else 'DocumentError'}: {message}\n"
 
 
 # case -> the entry its error names
