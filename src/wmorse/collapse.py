@@ -18,8 +18,8 @@ morse.morse_collapse share one incremental state, read off the
 complex's face table alone: per cell, the count of its live cofacets
 and the sum of their positions, which name a free face's coface, plus,
 for greedy_collapse alone, a heap of free faces. Each collapse edits
-them in O(dim). None of them rebuilds or rescans the complex per step,
-or builds its cofacet index; each derives its result from K's positions
+them in O(dim). None of them rebuilds or rescans the complex per step
+or makes a coface query; each derives its result from K's positions
 once, at the end.
 """
 

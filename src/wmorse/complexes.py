@@ -14,7 +14,8 @@ Negative weights are allowed; divisibility ignores sign.
 
 from __future__ import annotations
 
-from itertools import chain, combinations, compress
+from itertools import chain, combinations, compress, islice, repeat
+from operator import contains
 from typing import Collection, Iterable, Iterator, KeysView, Mapping, Sequence
 
 from .errors import (
@@ -129,14 +130,14 @@ class SimplicialComplex:
     checks closure only, naming the same face. Iteration and simplices
     follow (dim, lex) order.
 
-    Coface queries (cofacets, proper_cofaces, is_maximal, free_coface,
-    maximal_simplices) read the face table inverted, which the first
-    such query builds in O(N * dim); after that each query costs
-    O(degree), not a scan of the whole complex. Only these queries and
-    the Morse scan build it; collapses read the face table alone.
+    A complex is these three tables and nothing more, and nothing is
+    built after construction. Each coface query reads the face table
+    once: cofacets, is_maximal and free_coface read the dimension above
+    an n-cell, O(|K_{n+1}| * n); proper_cofaces and maximal_simplices
+    read every dimension, O(N * dim).
     """
 
-    __slots__ = ("_position", "_by_dim", "_faces", "_cofacets")
+    __slots__ = ("_position", "_by_dim", "_faces")
 
     def __init__(self, simplices: Iterable[Simplex]):
         cells = list(map(tuple, simplices))
@@ -159,7 +160,6 @@ class SimplicialComplex:
         for a, b in self._by_dim.get(1, ()):
             if a >= b:
                 raise DuplicateVertex((a, b)) if a == b else ValueError(f"simplex {[a, b]} is not in increasing order")
-        self._cofacets = None
 
     @classmethod
     def from_maximal(cls, generators: Iterable[Simplex]) -> "SimplicialComplex":
@@ -206,42 +206,31 @@ class SimplicialComplex:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self)} simplices, dim {self.dimension})"
 
-    def _cofacet_index(self) -> dict[int, list[list[Simplex]]]:
-        # entry i of dimension d lists the cofacets of of_dim(d)[i]; built on the first
-        # coface query: complexes that are only reduced (sequence fingerprints) never pay for it
-        index = self._cofacets
-        if index is None:
-            index = self._cofacets = {d: [[] for _ in cells] for d, cells in self._by_dim.items()}
-            for d, cells in self._by_dim.items():  # (dim, lex) order, so each list comes out sorted
-                below = index.get(d - 1)  # None for vertices, which have no faces
-                for t, entry in zip(cells, self._faces[d]):
-                    for i in entry:
-                        below[i].append(t)
-        return index
-
-    def _up(self, sigma: Simplex) -> list[Simplex] | tuple[()]:
+    def _above(self, sigma: Simplex) -> Iterator[Simplex]:
+        # sigma's cofacets in lex order: the cells one dimension up whose face-table entry holds it
         s = tuple(sigma)
-        i = self._position.get(s)
-        return () if i is None else (self._cofacets or self._cofacet_index())[len(s) - 1][i]
+        i = self._position.get(s, -1)  # -1, in no entry, for a non-member
+        return compress(self.of_dim(len(s)), map(contains, self.face_indices(len(s)), repeat(i)))
 
     def cofacets(self, sigma: Simplex) -> list[Simplex]:
         """Cofaces of sigma of exactly one dimension higher, in lex order."""
-        return list(self._up(sigma))
+        return list(self._above(sigma))
 
     def proper_cofaces(self, sigma: Simplex) -> list[Simplex]:
         """Every simplex strictly containing sigma, in (dim, lex) order."""
-        out: list[Simplex] = []
-        level = self._up(sigma)
-        while level:
-            out.extend(level)
-            level = sorted({t for s in level for t in self._up(s)})
+        s = tuple(sigma)
+        level, out = {self._position.get(s, -1)}, []
+        for d in range(len(s), self.dimension + 1):  # a coface's faces hold sigma or a coface of it
+            level = {j for j, entry in enumerate(self.face_indices(d)) if not level.isdisjoint(entry)}
+            out += map(self.of_dim(d).__getitem__, sorted(level))
         return out
 
     def is_maximal(self, sigma: Simplex) -> bool:
-        return not self._up(sigma)
+        return next(self._above(sigma), None) is None
 
     def maximal_simplices(self) -> list[Simplex]:
-        return [s for s in self if not self._up(s)]
+        covered = {d: set(chain.from_iterable(self.face_indices(d + 1))) for d in self._by_dim}
+        return [s for s, i in self._position.items() if i not in covered[len(s) - 1]]
 
     def free_coface(self, sigma: Simplex) -> Simplex | None:
         """The unique proper coface of sigma, if there is exactly one.
@@ -250,7 +239,7 @@ class SimplicialComplex:
         coface tau + {v} of tau would contain the second cofacet
         sigma + {v} of sigma. So tau is one dimension up and maximal.
         """
-        up = self._up(sigma)
+        up = list(islice(self._above(sigma), 2))
         return up[0] if len(up) == 1 else None
 
     def without(self, removed: Iterable[Simplex]) -> "SimplicialComplex":
@@ -260,7 +249,7 @@ class SimplicialComplex:
 
     def _select(self, keep: Mapping[int, Sequence[bool]]) -> "SimplicialComplex":
         out = object.__new__(type(self))  # keep[d][i] keeps of_dim(d)[i]; closure is the one check
-        out._position, out._by_dim, out._faces, out._cofacets = {}, {}, {}, None
+        out._position, out._by_dim, out._faces = {}, {}, {}
         number = {}  # kept position -> position in out, in the dimension below
         for d, cells in self._by_dim.items():
             rows = list(compress(range(len(cells)), keep[d]))
@@ -283,9 +272,9 @@ class WeightedComplex(SimplicialComplex):
     returns. Construction walks the cells once, in (dim, lex) order:
     each needs an integer weight that every codimension-1 face's weight
     divides, faces read off the face table in deletion order, and the
-    first defect in that order is the one reported. The position map,
-    face table and cofacet index (if built) are the given complex's; a
-    derived subcomplex filters the weights by the same mask, unchecked.
+    first defect in that order is the one reported. The position map
+    and face table are the given complex's; a derived subcomplex
+    filters the weights by the same mask, unchecked.
     Instances are immutable; operations return new objects. Weights are
     Python ints, never floats. It never equals an unweighted complex.
     """
@@ -312,8 +301,7 @@ class WeightedComplex(SimplicialComplex):
                     if value % wf if wf else value:
                         raise DivisibilityViolation(complex.of_dim(d - 1)[i], s, wf, value)
             table[d] = here
-        self._position, self._by_dim = complex._position, complex._by_dim
-        self._faces, self._cofacets = complex._faces, complex._cofacets
+        self._position, self._by_dim, self._faces = complex._position, complex._by_dim, complex._faces
 
     def weight(self, sigma: Simplex) -> int:
         s = tuple(sigma)

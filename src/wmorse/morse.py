@@ -21,11 +21,12 @@ that contains exactly one critical cell is handled by the certificate
 in critical_window: collapse from above onto the level of the critical
 cell, remove that cell, and collapse again below.
 
-All of this comes from one scan of a complex, top-down in (dimension,
-lex) order, that reads each cell's cofacets and faces off K's own index
-by position. From every cell's wrong neighbours the scan derives the
-Morse violations, the critical cells, the pairing and the w-simple
-cells. It also gives each cell its entry value, the least value on the
+All of this comes from one scan of K's face table, top-down in
+(dimension, lex) order: each cell reads its faces there and pushes down
+to them its entry value and, to those it is a wrong cofacet of, itself.
+From every cell's wrong neighbours the scan derives the Morse
+violations, the critical cells, the pairing and the w-simple cells. It
+also gives each cell its entry value, the least value on the
 cell and its cofaces, and the one level rule is
 K(c) = {s : entry(s) <= c}. validate_morse keeps the scan of the
 complex it checked with the function it returns, so classify,
@@ -135,26 +136,31 @@ def _scan_of(K: WeightedComplex, f: MorseFunction) -> _Scan:
     """The one pass over K; the pass validate_morse made is reused."""
     if f._scan is not None and f._scan.complex is K:
         return f._scan
-    value, position, cofacets = f._values, K._position, K._cofacet_index()
-    violations = []
-    critical, w_simple, pair, entry = set(), set(), {}, {}
-    clash = None
+    value, clash = f._values, None
+    violations, critical, w_simple, pair, entry = [], set(), set(), {}, {}
+    # pushed down from the dimension above, by position: the least entry value so far, from each
+    # cell's own, and the wrong cofacets in lex order (t is wrong for its face g when f(t) <= f(g))
+    values = least = [value[s] for s in K.of_dim(K.dimension)]
+    wrong = {}
     for d in reversed(range(K.dimension + 1)):  # cofacets before their faces
         cells, faces, weights = K.of_dim(d), K.face_indices(d), K.weights_of_dim(d)
-        below, low_weights, above = K.of_dim(d - 1), K.weights_of_dim(d - 1), entry.get(d + 1)
-        here = entry[d] = [None] * len(cells)
-        for i in reversed(range(len(cells))):
-            s, ups = cells[i], cofacets[d][i]
-            fs = value[s]
-            here[i] = min([fs] + [above[position[t]] for t in ups])
-            up = [t for t in ups if value[t] <= fs]
-            down = [g for g in reversed(faces[i]) if value[below[g]] >= fs]  # faces in deletion order
+        below, low_weights = K.of_dim(d - 1), K.weights_of_dim(d - 1)
+        low_values = [value[g] for g in below]
+        entry[d], low_least, low_wrong = least, low_values[:], {}
+        for i, s in enumerate(cells):  # lex order, so each wrong-cofacet list comes out sorted
+            fs, e, up = values[i], least[i], wrong.get(i, ())
+            down = [g for g in reversed(faces[i]) if low_values[g] >= fs]  # faces in deletion order
+            for g in faces[i]:
+                if e < low_least[g]:
+                    low_least[g] = e
+            for g in down:
+                low_wrong.setdefault(g, []).append(s)
             if len(up) > 1:
                 violations.append((s, 1, tuple(up)))
             if len(down) > 1:
                 violations.append((s, 2, tuple(below[g] for g in down)))
-            if up and down:
-                clash = s
+            if up and down and (clash is None or len(s) < len(clash)):
+                clash = s  # the first in (dim, lex) order
             if up or down:
                 pair[s] = up[0] if up else below[down[0]]
             else:
@@ -162,6 +168,7 @@ def _scan_of(K: WeightedComplex, f: MorseFunction) -> _Scan:
             w = weights[i]
             if w != 0 and all(low_weights[g] == w for g in down):
                 w_simple.add(s)
+        values, least, wrong = low_values, low_least, low_wrong
     # a cell with wrong neighbours both ways forces a violation at its
     # wrong face or its wrong coface, so f is not Morse on K
     if clash is not None and not violations:
@@ -353,7 +360,7 @@ def critical_window(K: WeightedComplex, f: MorseFunction, alpha, a, b) -> Critic
     below = level_subcomplex(K, f, a_prime)
     if below.simplices != top.simplices - {alpha}:
         raise InternalInvariantError(f"K({a_prime}) is not K({fa}) minus {list(alpha)}")
-    if any(t in top for t in K.cofacets(alpha)):
+    if not top.is_maximal(alpha):
         raise InternalInvariantError(f"{list(alpha)} is not maximal in K({fa})")
 
     # no window cell has a value in (a_prime, f(alpha)], so this is (a, a_prime] and (f(alpha), b]

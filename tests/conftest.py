@@ -10,6 +10,7 @@ small matrices, which is exactly what makes them trustworthy checks.
 from __future__ import annotations
 
 import contextlib
+import copy
 import itertools
 import sys
 from fractions import Fraction
@@ -294,6 +295,46 @@ def reference_level(K, f, c) -> set:
                 members.add(g)
                 stack.append(g)
     return members
+
+
+def reference_scan(K, values) -> tuple[list, set, set, dict, dict]:
+    """The Morse scan cell by cell: violations, critical, w-simple, pair, entry.
+
+    Cofaces come from reference_proper_cofaces and faces from deleting
+    one vertex at a time, so nothing here reads K's face table. A cell's
+    wrong cofacets are listed in lex order and its wrong faces in
+    deletion order; its entry value is the least value on the cell and
+    all its proper cofaces. Violations are sorted by (dim, lex, kind).
+    """
+    up = reference_proper_cofaces(K.simplices)
+    violations, critical, w_simple, pair, entry = [], set(), set(), {}, {}
+    for s in K:
+        fs = values[s]
+        high = [t for t in sorted(up[s]) if len(t) == len(s) + 1 and values[t] <= fs]
+        low = [g for g in (s[:i] + s[i + 1:] for i in range(len(s))) if g and values[g] >= fs]
+        violations += [(s, kind, tuple(wrong)) for kind, wrong in ((1, high), (2, low)) if len(wrong) > 1]
+        if high or low:
+            pair[s] = high[0] if high else low[0]
+        else:
+            critical.add(s)
+        if K.weight(s) != 0 and all(K.weight(g) == K.weight(s) for g in low):
+            w_simple.add(s)
+        entry[s] = min([fs] + [values[t] for t in up[s]])
+    violations.sort(key=lambda v: (len(v[0]), v[0], v[1]))
+    return violations, critical, w_simple, pair, entry
+
+
+def complex_state(K) -> dict:
+    """Each slot of K: the object it holds and a deep copy of its contents."""
+    slots = [name for cls in type(K).__mro__ for name in getattr(cls, "__slots__", ())]
+    return {name: (getattr(K, name), copy.deepcopy(getattr(K, name))) for name in slots}
+
+
+def assert_state_kept(K, state: dict) -> None:
+    """K still holds the slots complex_state recorded, with the same objects and contents."""
+    assert complex_state(K).keys() == state.keys()
+    for name, (held, contents) in state.items():
+        assert getattr(K, name) is held and held == contents, name
 
 
 # --- complex builders --------------------------------------------------------

@@ -697,12 +697,12 @@ BROKEN_WINDOW = {
         "m.level_subcomplex = lambda K, f, c: real(K, f, 0 if c == Fraction(3, 2) else c)\n",
         "K(3/2) is not K(2) minus",
     ),
-    # while the window is certified, K reports the edge [0, 1] of K(2)
-    # as a cofacet of alpha
+    # while the window is certified, every complex reports alpha as
+    # not maximal, K(2) among them
     "maximality": (
-        "real_window, real_cofacets = m.critical_window, WeightedComplex.cofacets\n"
+        "real_window, real_maximal = m.critical_window, WeightedComplex.is_maximal\n"
         "def window(K, f, alpha, a, b):\n"
-        "    WeightedComplex.cofacets = lambda self, s: real_cofacets(self, s) + [(0, 1)] * (s == alpha)\n"
+        "    WeightedComplex.is_maximal = lambda self, s: real_maximal(self, s) and s != alpha\n"
         "    return real_window(K, f, alpha, a, b)\n"
         "m.critical_window = window\n",
         "[0, 1, 2] is not maximal in K(2)",

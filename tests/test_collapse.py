@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     BROKEN_REMOVAL,
+    assert_state_kept,
+    complex_state,
     filled_triangle,
     full_simplex,
     greedy_morse_values,
@@ -106,10 +108,11 @@ class TestElementaryCollapse:
         lambda K: collapse_sequence(K, [(1, 2), (1,)]),
         lambda K: elementary_collapse(K, (1, 2)),
     ], ids=["greedy", "sequence", "elementary"])
-    def test_collapses_build_no_cofacet_index(self, collapse):
+    def test_collapses_leave_the_complex_as_built(self, collapse):
         K = filled_triangle()
+        state = complex_state(K)
         collapse(K)
-        assert K._cofacets is None
+        assert_state_kept(K, state)
 
     @pytest.mark.parametrize("collapse, heaps", [
         (greedy_collapse, 1),

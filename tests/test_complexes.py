@@ -12,15 +12,20 @@ from wmorse import (
     DivisibilityViolation,
     DuplicateSimplex,
     DuplicateVertex,
+    HypothesisError,
+    HypothesisFailed,
     NotFaceClosed,
     SimplicialComplex,
     WeightedComplex,
     build_woc,
+    classify,
     collapse_sequence,
+    critical_window,
     elementary_collapse,
     greedy_collapse,
     homology,
     level_subcomplex,
+    morse_collapse,
     validate_complex,
     validate_morse,
 )
@@ -29,7 +34,7 @@ from wmorse.documents import load_complex_document
 
 import random
 
-from conftest import greedy_morse_values, reference_proper_cofaces
+from conftest import assert_state_kept, complex_state, greedy_morse_values, reference_proper_cofaces
 from generators import random_weighted_complex
 
 
@@ -432,7 +437,7 @@ def test_coface_queries_match_subset_enumeration(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_coface_queries_read_no_faces(seed, monkeypatch):
     K = random_weighted_complex(random.Random(seed), max_vertices=9, max_facets=7, max_facet_dim=4)
-    # fresh complexes, none of which has built its cofacet index yet
+    # complexes built from records and derived from K, queried only under the patch
     fresh = [validate_complex(K.items())] + subcomplexes(K)[1:]
 
     def no_faces(sigma):
@@ -441,6 +446,39 @@ def test_coface_queries_read_no_faces(seed, monkeypatch):
     monkeypatch.setattr("wmorse.complexes.faces", no_faces)
     for L in fresh:
         assert_coface_queries_match_subset_enumeration(L)
+
+
+def test_a_complex_holds_its_positions_cells_and_face_table_only():
+    assert SimplicialComplex.__slots__ == ("_position", "_by_dim", "_faces")
+    assert WeightedComplex.__slots__ == ("_weights",)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_queries_scans_and_collapses_leave_a_complex_as_built(seed):
+    K = random_weighted_complex(random.Random(seed), zero_star_chance=0.3)
+    state = complex_state(K)
+    assert_coface_queries_match_subset_enumeration(K)
+    f = validate_morse(K, greedy_morse_values(K)[0])
+    critical = classify(K, f).critical
+    for c in f.distinct_values():
+        level_subcomplex(K, f, c)
+    top = f.distinct_values()[-1]
+    for c in f.distinct_values()[:-1]:
+        try:
+            morse_collapse(K, f, c, top)
+        except HypothesisFailed:
+            pass
+    for alpha in critical:
+        try:
+            critical_window(K, f, alpha, f(alpha) - 1, f(alpha))
+        except HypothesisError:
+            pass
+    applied = greedy_collapse(K)[1]
+    collapse_sequence(K, [step.sigma for step, _ in applied])
+    for s in K:
+        if K.free_coface(s) is not None:
+            elementary_collapse(K, s)
+    assert_state_kept(K, state)
 
 
 # --- complexes derived from a parent's positions, against a fresh build ----------------

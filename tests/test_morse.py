@@ -20,6 +20,7 @@ from conftest import (
     hollow_triangle_w2,
     matrix_rows,
     reference_level,
+    reference_scan,
     weighted_disk,
     xn_setup,
     xyyy_setup,
@@ -57,7 +58,7 @@ from wmorse import (
 )
 from wmorse.collapse import _Collapser
 from wmorse.documents import load_morse_document
-from wmorse.morse import MorseFunction, to_fraction
+from wmorse.morse import MorseFunction, _scan_of, to_fraction
 
 
 class TestToFraction:
@@ -192,13 +193,12 @@ class TestValidateMorse:
             ((1, 2, 3), 2, ((2, 3), (1, 3), (1, 2))),
         ]
 
-    def test_broken_neighbour_lemma_survives_python_O(self, monkeypatch):
-        # with the triangle listed as a cofacet of the edge [0, 1] too, that edge has
-        # a low coface and a high face, vertex 1, while no cell has two of either
+    def test_broken_neighbour_lemma_survives_python_O(self):
+        # with the edge [0, 1] forged into the triangle's face-table entry in place of [2, 3],
+        # that edge has a low coface and a high face, vertex 1, while no cell has two of either
         K = constant_complex([(0, 1), (2, 3, 4)])
-        real = SimplicialComplex._cofacet_index
-        monkeypatch.setattr(SimplicialComplex, "_cofacet_index",
-                            lambda self: {**real(self), 1: [[(2, 3, 4)]] + real(self)[1][1:]})
+        assert K.face_indices(2) == ((1, 2, 3),)
+        K._faces[2] = ((0, 2, 3),)
         values = {s: len(s) - 4 for s in K if s[0] > 1} | {(0,): 0, (1,): 2, (0, 1): 1}
         with pytest.raises(InternalInvariantError, match=r"\[0, 1\] has wrong neighbours both ways"):
             validate_morse(K, values)
@@ -214,6 +214,22 @@ class TestValidateMorse:
         assert names == ("x", "xy", "xyy", "y", "yy", "yyy")
         assert len(K) == 19
         assert f.distinct_values() == [1, 2, 3, 4, 5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10 ** 9), st.integers(min_value=1, max_value=8))
+def test_scan_matches_the_cell_by_cell_reference(seed, spread):
+    # random integer values, most of them not Morse; the scan runs unvalidated
+    rng = random.Random(seed)
+    K = random_weighted_complex(rng, zero_star_chance=0.3)
+    values = {s: Fraction(rng.randint(0, spread)) for s in K}
+    violations, critical, w_simple, pair, entry = reference_scan(K, values)
+    scan = _scan_of(K, MorseFunction(values))
+    assert scan.violations == violations
+    assert scan.classification.critical == critical
+    assert scan.classification.w_simple == w_simple
+    assert scan.classification.pair == pair
+    assert scan.entry == {d: [entry[s] for s in K.of_dim(d)] for d in range(K.dimension + 1)}
 
 
 class TestClassify:
@@ -603,35 +619,30 @@ def circle_with_tails():
 
 
 class TestWorkDoneOnce:
-    def test_load_and_classify_scan_the_cofacet_index_once(self, tmp_path, monkeypatch):
-        K, names, f, cell = xyyy_setup()
+    def test_only_critical_window_makes_a_coface_query(self, tmp_path, monkeypatch):
+        K, f = circle_with_tails()
         path = tmp_path / "f.json"
         path.write_text(json.dumps({
             "values": [{"vertices": list(s), "value": str(v)} for s, v in f.items()]
         }))
-        read = []
-        real = SimplicialComplex._cofacet_index
-        monkeypatch.setattr(SimplicialComplex, "_cofacet_index", lambda self: read.append(self) or real(self))
-        monkeypatch.setattr(SimplicialComplex, "cofacets", None)  # no per-simplex list copies either
-        classify(K, load_morse_document(str(path), K))
-        assert read == [K]
+        queries = []
 
-    def test_collapses_build_no_cofacet_index(self, monkeypatch):
-        K, f = circle_with_tails()
-        built = []
-        real = SimplicialComplex._cofacet_index
+        def recorded(name):
+            real = getattr(SimplicialComplex, name)
+            return lambda self, *args: queries.append((name, self, *args)) or real(self, *args)
 
-        def index(self):
-            if self._cofacets is None:
-                built.append(self.simplices)
-            return real(self)
-
-        monkeypatch.setattr(SimplicialComplex, "_cofacet_index", index)
+        for name in ("cofacets", "proper_cofaces", "is_maximal", "free_coface", "maximal_simplices"):
+            monkeypatch.setattr(SimplicialComplex, name, recorded(name))
+        g = load_morse_document(str(path), K)
+        # the scan validate_morse made is the one classify returns
+        assert classify(K, g) is g._scan.classification
+        assert classify(K, validate_morse(K, dict(f.items()))).critical == {(0,), (1, 2)}
+        level_subcomplex(K, f, 3)
         assert len(morse_collapse(K, f, 0, 3).steps) == 3
-        assert built == []
-        critical_window(K, f, (1, 2), "1/2", 8)
-        # alpha's maximality in K(f(alpha)) is read off K's index too
-        assert built == []
+        assert queries == []
+        window = critical_window(K, f, (1, 2), "1/2", 8)
+        # alpha's maximality, asked of K(f(alpha))
+        assert [(name, L is window.top, *args) for name, L, *args in queries] == [("is_maximal", True, (1, 2))]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_collapses_and_morse_scans_list_no_faces(self, seed, monkeypatch):
