@@ -619,12 +619,8 @@ def circle_with_tails():
 
 
 class TestWorkDoneOnce:
-    def test_only_critical_window_makes_a_coface_query(self, tmp_path, monkeypatch):
-        K, f = circle_with_tails()
-        path = tmp_path / "f.json"
-        path.write_text(json.dumps({
-            "values": [{"vertices": list(s), "value": str(v)} for s, v in f.items()]
-        }))
+    @staticmethod
+    def record_coface_queries(monkeypatch):
         queries = []
 
         def recorded(name):
@@ -633,9 +629,30 @@ class TestWorkDoneOnce:
 
         for name in ("cofacets", "proper_cofaces", "is_maximal", "free_coface", "maximal_simplices"):
             monkeypatch.setattr(SimplicialComplex, name, recorded(name))
+        return queries
+
+    def test_load_and_classify_scan_the_cofacet_index_once(self, tmp_path, monkeypatch):
+        # the face table is the complex's one cofacet index: the scan reads each
+        # dimension's entry once and asks no coface query
+        K, names, f, cell = xyyy_setup()
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({
+            "values": [{"vertices": list(s), "value": str(v)} for s, v in f.items()]
+        }))
+        queries = self.record_coface_queries(monkeypatch)
+        read = []
+        real = SimplicialComplex.face_indices
+        monkeypatch.setattr(SimplicialComplex, "face_indices",
+                            lambda self, d: read.append((self, d)) or real(self, d))
         g = load_morse_document(str(path), K)
         # the scan validate_morse made is the one classify returns
         assert classify(K, g) is g._scan.classification
+        assert sorted(d for L, d in read if L is K) == list(range(K.dimension + 1))
+        assert queries == []
+
+    def test_collapses_build_no_cofacet_index(self, monkeypatch):
+        K, f = circle_with_tails()
+        queries = self.record_coface_queries(monkeypatch)
         assert classify(K, validate_morse(K, dict(f.items()))).critical == {(0,), (1, 2)}
         level_subcomplex(K, f, 3)
         assert len(morse_collapse(K, f, 0, 3).steps) == 3
